@@ -12,15 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ascent import ascend
-from .core import DomainError, PureState, ShapeError, apply_kept_operator, reduced_matrix
+from .ascent import ascend, haar_starts
+from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, ShapeError, pair_cuts, scatter_cuts
 
 CUTS = ("AB_CD", "AC_BD", "AD_BC")
-_CUT_AXES = {
-    "AB_CD": ((0, 1), (2, 3)),
-    "AC_BD": ((0, 2), (1, 3)),
-    "AD_BC": ((0, 3), (1, 2)),
-}
+# Cut labels and row parties, by number of parties.
+_CUTS_BY_PARTIES = {2: (("A_B",), ((0,),)), 4: (CUTS, FOUR_PARTY_CUT_ROWS)}
 
 
 @dataclass(frozen=True)
@@ -47,19 +44,29 @@ def reshape(s: PureState, cut: str) -> ReshapeMatrix:
     second, each in row-major order.
     """
     _check_equal_dims(s.dims, 4)
-    if cut not in _CUT_AXES:
+    if cut not in CUTS:
         raise DomainError(f"unknown cut {cut!r}; expected one of {', '.join(CUTS)}")
-    rows, cols = _CUT_AXES[cut]
-    d = s.dims[0]
-    m = np.transpose(s.tensor(), rows + cols).reshape(d * d, d * d)
-    return ReshapeMatrix(cut, m)
+    m, _ = pair_cuts(s.amps, s.dims, (FOUR_PARTY_CUT_ROWS[CUTS.index(cut)],))
+    return ReshapeMatrix(cut, m[0])
 
 
-def _per_cut_value(amps, dims, rows) -> float:
-    d_rows = math.prod(dims[a] for a in rows)
-    rho = reduced_matrix(amps, dims, rows)
-    delta = d_rows * rho - np.eye(d_rows)
-    return float(np.sum(np.abs(delta) ** 2))
+def _cuts(dims) -> tuple:
+    if len(dims) not in _CUTS_BY_PARTIES:
+        raise DomainError("deviation minimization supports two or four parties")
+    return _CUTS_BY_PARTIES[len(dims)]
+
+
+def _cut_deltas(amps, dims) -> tuple:
+    """Cut matrices M, deviations d * M M^dagger - I, and row parties of every cut."""
+    rows = _cuts(dims)[1]
+    m, rho = pair_cuts(amps, dims, rows)
+    d = rho.shape[-1]
+    return m, d * rho - np.eye(d), rows
+
+
+def _per_cut(amps, dims) -> dict:
+    _, delta, _ = _cut_deltas(amps, dims)
+    return dict(zip(_cuts(dims)[0], map(float, np.sum(np.abs(delta) ** 2, axis=(1, 2)))))
 
 
 @dataclass(frozen=True)
@@ -70,39 +77,24 @@ class AmeDeviation:
 
 def ame_deviation(s: PureState) -> AmeDeviation:
     """Per-cut and total distance of the pair reductions from maximal mixing."""
-    dims = _check_equal_dims(s.dims, 4)
-    per_cut = {
-        cut: _per_cut_value(s.amps, dims, _CUT_AXES[cut][0]) for cut in CUTS
-    }
+    per_cut = _per_cut(s.amps, _check_equal_dims(s.dims, 4))
     return AmeDeviation(per_cut, math.fsum(per_cut.values()))
-
-
-def _cut_rows(dims):
-    if len(dims) == 2:
-        return {"A_B": (0,)}
-    if len(dims) == 4:
-        return {cut: _CUT_AXES[cut][0] for cut in CUTS}
-    raise DomainError("deviation minimization supports two or four parties")
 
 
 def deviation_value_raw(amps, dims) -> float:
     """Total deviation of raw amplitudes, summed over the cuts for these dims."""
-    return math.fsum(_per_cut_value(amps, dims, rows) for rows in _cut_rows(dims).values())
+    _, delta, _ = _cut_deltas(amps, dims)
+    return float(np.vdot(delta, delta).real)
 
 
 def deviation_value_and_gradient_raw(amps, dims):
-    """Total deviation and its Euclidean gradient (Re <ds|g> is the derivative)."""
-    dims = tuple(dims)
-    t = np.asarray(amps, dtype=complex).reshape(dims)
-    value = 0.0
-    g = np.zeros(t.size, dtype=complex)
-    for rows in _cut_rows(dims).values():
-        d_rows = math.prod(dims[a] for a in rows)
-        rho = reduced_matrix(amps, dims, rows)
-        delta = d_rows * rho - np.eye(d_rows)
-        value += float(np.sum(np.abs(delta) ** 2))
-        g += 4.0 * d_rows * apply_kept_operator(t, delta, rows).reshape(-1)
-    return value, g
+    """Total deviation and its Euclidean gradient (Re <ds|g> is the derivative).
+
+    Per cut the gradient is 4 d (d M M^dagger - I) M, scattered back to amplitudes.
+    """
+    m, delta, rows = _cut_deltas(amps, dims)
+    g = scatter_cuts(delta @ m, dims, rows)
+    return float(np.vdot(delta, delta).real), 4.0 * delta.shape[-1] * g
 
 
 @dataclass(frozen=True)
@@ -136,10 +128,12 @@ def minimize_deviation(dims, restarts: int = 50, seed: int = 0, max_iters: int =
     is prepended.  Returns the lowest total found (first restart wins ties).
     """
     dims = _check_equal_dims(dims)
-    rows_by_cut = _cut_rows(dims)
-    n_amps = math.prod(dims)
+    _cuts(dims)
     if restarts < 1 and start is None:
         raise DomainError("restarts must be >= 1 when no explicit start is given")
+    if start is not None and tuple(start.dims) != dims:
+        raise ShapeError(f"start state has dims {start.dims}, expected {dims}")
+    starts = haar_starts(math.prod(dims), restarts, seed, start)
 
     def value_fn(a):
         return -deviation_value_raw(a, dims)
@@ -148,18 +142,7 @@ def minimize_deviation(dims, restarts: int = 50, seed: int = 0, max_iters: int =
         v, g = deviation_value_and_gradient_raw(a, dims)
         return -v, -g
 
-    starts = []
-    if start is not None:
-        if tuple(start.dims) != dims:
-            raise ShapeError(f"start state has dims {start.dims}, expected {dims}")
-        starts.append(start.amps)
-    for r in range(max(restarts, 0)):
-        rng = np.random.default_rng([seed, r])
-        z = rng.standard_normal(n_amps) + 1j * rng.standard_normal(n_amps)
-        starts.append(z / np.linalg.norm(z))
-
-    records = []
-    best = None
+    records, best = [], None
     for r, amps0 in enumerate(starts):
         outcome = ascend(value_fn, value_grad_fn, amps0,
                          grad_tol=grad_tol, max_iters=max_iters)
@@ -167,14 +150,13 @@ def minimize_deviation(dims, restarts: int = 50, seed: int = 0, max_iters: int =
         records.append(RestartRecord(r, value, outcome.grad_norm,
                                      outcome.iterations, outcome.converged))
         if best is None or value < best[0]:
-            best = (value, outcome, r)
-    value, outcome, best_index = best
+            best = (value, outcome)
+    value, outcome = best
     state = PureState(dims, outcome.amps)
-    per_cut = {cut: _per_cut_value(state.amps, dims, rows) for cut, rows in rows_by_cut.items()}
     return DeviationReport(
         floor=value,
         state=state,
-        per_cut=per_cut,
+        per_cut=_per_cut(state.amps, dims),
         grad_norm=outcome.grad_norm,
         iterations=outcome.iterations,
         converged=outcome.converged,

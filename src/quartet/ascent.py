@@ -4,8 +4,9 @@ gradient ascent on the unit sphere of four-qubit states.
 The objective extends off the sphere as the mean over the six pairs of
 -tr(rho log2 rho) with rho the raw (unrenormalized) pair reduction.  Its
 Euclidean gradient is assembled from per-pair terms
--tr[d(rho) (log2 rho + I/ln 2)]; ascent projects onto the sphere's tangent
-space and retracts by renormalization.
+-tr[d(rho) (log2 rho + I/ln 2)], three pair cuts at a time through
+``core.pair_cuts``; ascent projects onto the sphere's tangent space and
+retracts by renormalization.
 """
 
 import math
@@ -15,9 +16,8 @@ import numpy as np
 
 from . import catalog
 from .entropy import FINGERPRINT_TOL, fingerprint_residual, profile
-from .core import DomainError, PureState, apply_kept_operator, reduced_matrix
+from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, pair_cuts, scatter_cuts
 
-PAIR_KEEPS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 SPECTRAL_FLOOR = 1e-12
 _INV_LN2 = 1.0 / math.log(2.0)
 
@@ -27,53 +27,39 @@ def _check_four_qubits(dims):
         raise DomainError(f"expected four qubits, got dims {tuple(dims)}")
 
 
+def _mean_pair_entropy(lam: np.ndarray) -> float:
+    # Complementary pairs share their cut's spectrum: six pairs, three spectra.
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log2(lam))) / 3.0
+
+
 def avg_entropy_raw(amps: np.ndarray, dims) -> float:
     """Mean pair entropy of the raw amplitudes, with no normalization check."""
-    total = 0.0
-    for keep in PAIR_KEEPS:
-        lam = np.linalg.eigvalsh(reduced_matrix(amps, dims, keep))
-        lam = lam[lam > 0.0]
-        total += float(-np.sum(lam * np.log2(lam)))
-    return total / len(PAIR_KEEPS)
+    _, rho = pair_cuts(amps, dims, FOUR_PARTY_CUT_ROWS)
+    return _mean_pair_entropy(np.linalg.eigvalsh(rho))
 
 
-def pair_gradient_raw(amps: np.ndarray, dims, keep, floor: float = SPECTRAL_FLOOR) -> np.ndarray:
-    """Euclidean gradient of one pair's entropy term, as a flat complex array.
+def value_and_gradient_raw(amps: np.ndarray, dims, floor: float = SPECTRAL_FLOOR):
+    """Objective value and Euclidean gradient from one batched spectral pass.
 
-    The directional derivative along ds is Re <ds|g>.  Eigenvalues are clamped
-    at ``floor`` inside the logarithm; for a pure-state reduction the kernel
-    eigenvectors never overlap the state, so the clamp only guards round-off.
+    The directional derivative along ds is Re <ds|g>.  A pair's entropy term
+    contributes -2 L M to its cut, with L = log2(rho) + I/ln 2 on the row pair;
+    since f(M M^dagger) M = M f(M^dagger M) for a square M, the column pair
+    contributes the same.  Eigenvalues are clamped at ``floor`` inside the
+    logarithm; for a pure-state reduction the kernel eigenvectors never overlap
+    the state, so the clamp only guards round-off.
     """
-    dims = tuple(dims)
-    t = np.asarray(amps, dtype=complex).reshape(dims)
-    rho = reduced_matrix(amps, dims, keep)
+    m, rho = pair_cuts(amps, dims, FOUR_PARTY_CUT_ROWS)
     lam, vec = np.linalg.eigh(rho)
-    log_term = (vec * (np.log2(np.maximum(lam, floor)) + _INV_LN2)) @ vec.conj().T
-    return -2.0 * apply_kept_operator(t, log_term, keep).reshape(-1)
+    weights = np.log2(np.maximum(lam, floor)) + _INV_LN2
+    log_term = (vec * weights[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+    g = scatter_cuts(log_term @ m, dims, FOUR_PARTY_CUT_ROWS)
+    return _mean_pair_entropy(lam), (-4.0 / 6.0) * g
 
 
 def gradient_raw(amps: np.ndarray, dims, floor: float = SPECTRAL_FLOOR) -> np.ndarray:
     """Euclidean gradient of the mean pair entropy at raw amplitudes."""
-    g = np.zeros(np.asarray(amps).size, dtype=complex)
-    for keep in PAIR_KEEPS:
-        g += pair_gradient_raw(amps, dims, keep, floor)
-    return g / len(PAIR_KEEPS)
-
-
-def value_and_gradient_raw(amps: np.ndarray, dims, floor: float = SPECTRAL_FLOOR):
-    """Objective value and Euclidean gradient sharing one spectral pass per pair."""
-    dims = tuple(dims)
-    t = np.asarray(amps, dtype=complex).reshape(dims)
-    value = 0.0
-    g = np.zeros(t.size, dtype=complex)
-    for keep in PAIR_KEEPS:
-        lam, vec = np.linalg.eigh(reduced_matrix(amps, dims, keep))
-        positive = lam[lam > 0.0]
-        value += float(-np.sum(positive * np.log2(positive)))
-        log_term = (vec * (np.log2(np.maximum(lam, floor)) + _INV_LN2)) @ vec.conj().T
-        g -= 2.0 * apply_kept_operator(t, log_term, keep).reshape(-1)
-    n = len(PAIR_KEEPS)
-    return value / n, g / n
+    return value_and_gradient_raw(amps, dims, floor)[1]
 
 
 def avg_pair_entropy(s: PureState) -> float:
@@ -189,6 +175,16 @@ def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000,
     return AscentOutcome(s, value, gnorm, max_iters, gnorm < grad_tol)
 
 
+def haar_starts(n_amps: int, restarts: int, seed: int, start: PureState = None) -> list:
+    """An optional explicit start, then restart k's Haar-random start from a (seed, k) sub-seed."""
+    starts = [] if start is None else [start.amps]
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        z = rng.standard_normal(n_amps) + 1j * rng.standard_normal(n_amps)
+        starts.append(z / np.linalg.norm(z))
+    return starts
+
+
 @dataclass(frozen=True)
 class RestartResult:
     restart: int
@@ -258,20 +254,10 @@ def maximize(config: OptConfig = None, start: PureState = None) -> OptReport:
     is prepended as restart 0.
     """
     config = config or OptConfig()
-    states, records = [], []
-    offset = 0
     if start is not None:
         _check_four_qubits(start.dims)
-        state, record = _run_restart(start.amps, config, 0)
-        states.append(state)
-        records.append(record)
-        offset = 1
-    for r in range(config.restarts):
-        rng = np.random.default_rng([config.seed, r])
-        z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        state, record = _run_restart(z / np.linalg.norm(z), config, r + offset)
-        states.append(state)
-        records.append(record)
+    starts = haar_starts(16, config.restarts, config.seed, start)
+    states, records = map(list, zip(*(_run_restart(a, config, r) for r, a in enumerate(starts))))
     best = max(range(len(records)), key=lambda i: (records[i].value, -i))
     return OptReport(
         best_value=records[best].value,

@@ -212,7 +212,7 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
         local_unitaries=unitaries,
         overlap=overlap,
         zero_residual=float(residual),
-        converged=residual < RESIDUAL_TOL,
+        converged=bool(residual < RESIDUAL_TOL),
         sweeps=len(history),
         history=history,
     )

@@ -6,6 +6,7 @@ for four parties the flat index of the multi-index (i, j, k, l) is
 and hold complex128 data throughout.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,9 +15,10 @@ import numpy as np
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
 MAX_PARTIES = 8
 PARTY_LETTERS = "ABCDEFGH"
+# Row pairs of the three pair cuts AB|CD, AC|BD, AD|BC of a four-party state.
+FOUR_PARTY_CUT_ROWS = ((0, 1), (0, 2), (0, 3))
 
 
 class ShapeError(ValueError):
@@ -163,6 +165,36 @@ def reduced_matrix(amps: np.ndarray, dims, keep) -> np.ndarray:
     rho = np.tensordot(t, t.conj(), axes=(traced, traced))
     d = math.prod(dims[i] for i in keep)
     return rho.reshape(d, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _cut_indices(dims: tuple, rows: tuple) -> tuple:
+    """Gather index (C, D, K) into flat amplitudes and its scatter inverse (C, D*K)."""
+    flat = np.arange(math.prod(dims)).reshape(dims)
+    mats = [np.transpose(flat, keep + tuple(a for a in range(len(dims)) if a not in keep))
+            .reshape(math.prod(dims[a] for a in keep), -1) for keep in rows]
+    if len({m.shape for m in mats}) != 1:
+        raise ShapeError(f"cuts {rows} of dims {dims} have different matrix shapes")
+    gather = np.stack(mats)
+    scatter = np.argsort(gather.reshape(len(rows), -1), axis=1)
+    return _frozen(gather), _frozen(scatter + gather[0].size * np.arange(len(rows))[:, None])
+
+
+def pair_cuts(amps: np.ndarray, dims: tuple, rows: tuple) -> tuple:
+    """Stacked cut matrices m (C, D, K) and row reductions rho = m m^dagger of every cut.
+
+    Cut c has the parties ``rows[c]`` on its rows and the rest on its columns,
+    each in row-major order; every cut must give the same (D, K).
+    """
+    gather, _ = _cut_indices(tuple(dims), rows)
+    m = np.asarray(amps, dtype=complex)[gather]
+    return m, m @ m.conj().transpose(0, 2, 1)
+
+
+def scatter_cuts(g: np.ndarray, dims: tuple, rows: tuple) -> np.ndarray:
+    """Sum a stacked per-cut array shaped like ``pair_cuts``' m back onto flat amplitudes."""
+    _, scatter = _cut_indices(tuple(dims), rows)
+    return g.reshape(-1)[scatter].sum(0)
 
 
 def partial_trace(s: PureState, keep) -> DensityMatrix:

@@ -4,6 +4,8 @@ Each criterion prints its own PASS/FAIL line so a test run shows the whole
 scoreboard even when everything is green.
 """
 
+import json
+
 import pytest
 
 from quartet import acceptance
@@ -20,3 +22,9 @@ def test_criterion(number, capsys):
         print(acceptance.format_line(result))
     assert result.duration_seconds <= result.budget_seconds
     assert result.passed, result.details
+
+
+def test_result_json_encodes():
+    # Criterion 3 builds its verdict from numpy comparisons.
+    payload = json.loads(json.dumps(acceptance.run_one(3).to_json()))
+    assert payload["passed"] is True

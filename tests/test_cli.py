@@ -3,8 +3,10 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +139,15 @@ def test_canonicalize_cat_state(tmp_path, capsys):
     assert payload["state"]["dims"] == [2, 2, 2, 2]
 
 
+def test_canonicalize_m4_emits_json_bool(tmp_path, capsys):
+    path = write_state(tmp_path, "M4")
+    code = cli.dispatch(["canonicalize", path, "--restarts", "4", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["converged"] in (True, False)
+    assert '"converged": true' in out or '"converged": false' in out
+
+
 def test_ame_two_qubits_reaches_zero(capsys):
     code, payload, _ = run_cli(
         capsys, ["ame", "--dims", "2,2", "--restarts", "2", "--seed", "0"]
@@ -254,11 +265,15 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
 
 
 def test_module_entry_point_runs_as_subprocess():
+    # The child imports the same quartet as this process, installed or not.
+    src = str(Path(quartet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "quartet.cli", "catalog", "M4"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
