@@ -7,7 +7,6 @@ from .ame import AmeDeviation, DeviationReport, ReshapeMatrix, ame_deviation, mi
 from .ascent import (
     OptConfig,
     OptReport,
-    avg_pair_entropy,
     entropy_gradient,
     maximize,
     stationarity_report,

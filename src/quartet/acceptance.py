@@ -172,7 +172,7 @@ def criterion_stationarity() -> tuple[bool, str]:
     worst = 0.0
     for k in range(20):
         s = random_state(dims, np.random.default_rng([3, k]))
-        analytic = ascent.gradient_raw(s.amps, dims)
+        _, analytic = ascent.value_and_gradient_raw(s.amps, dims)
         fd = _finite_difference_gradient(np.array(s.amps), dims, h)
         scale = np.where(np.abs(analytic) >= 1e-8, np.abs(analytic), 1.0)
         worst = max(worst, float(np.max(np.abs(analytic - fd) / scale)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ascent import ascend, haar_starts
+from .ascent import ascend, check_stopping, haar_starts
 from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, ShapeError, pair_cuts, scatter_cuts
 
 CUTS = ("AB_CD", "AC_BD", "AD_BC")
@@ -32,8 +32,8 @@ def _check_equal_dims(dims, n_parties=None):
     dims = tuple(dims)
     if n_parties is not None and len(dims) != n_parties:
         raise DomainError(f"expected {n_parties} parties, got {len(dims)}")
-    if len(set(dims)) != 1:
-        raise DomainError(f"equal local dimensions required, got {dims}")
+    if len(set(dims)) != 1 or dims[0] < 2:
+        raise DomainError(f"equal local dimensions of at least 2 required, got {dims}")
     return dims
 
 
@@ -129,6 +129,7 @@ def minimize_deviation(dims, restarts: int = 50, seed: int = 0, max_iters: int =
     """
     dims = _check_equal_dims(dims)
     _cuts(dims)
+    check_stopping(max_iters, grad_tol)
     if restarts < 1 and start is None:
         raise DomainError("restarts must be >= 1 when no explicit start is given")
     if start is not None and tuple(start.dims) != dims:

@@ -15,10 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog
-from .entropy import FINGERPRINT_TOL, fingerprint_residual, profile
+from .entropy import FINGERPRINT_TOL, eigenvalue_entropy, fingerprint_residual, profile
 from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, pair_cuts, scatter_cuts
 
-SPECTRAL_FLOOR = 1e-12
+SPECTRAL_FLOOR = 1e-12  # eigenvalue clamp inside the gradient's logarithm
+# Line search: first trial step, backtracking factor, smallest step, Armijo coefficient.
+INITIAL_STEP = 1.0
+BACKTRACK = 0.5
+MIN_STEP = 1e-12
+ARMIJO = 1e-4
 _INV_LN2 = 1.0 / math.log(2.0)
 
 
@@ -28,9 +33,8 @@ def _check_four_qubits(dims):
 
 
 def _mean_pair_entropy(lam: np.ndarray) -> float:
-    # Complementary pairs share their cut's spectrum: six pairs, three spectra.
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log2(lam))) / 3.0
+    # Six pairs, three cut spectra (complementary pairs share one), entropies add.
+    return float(eigenvalue_entropy(lam.reshape(-1))) / 3.0
 
 
 def avg_entropy_raw(amps: np.ndarray, dims) -> float:
@@ -39,35 +43,25 @@ def avg_entropy_raw(amps: np.ndarray, dims) -> float:
     return _mean_pair_entropy(np.linalg.eigvalsh(rho))
 
 
-def value_and_gradient_raw(amps: np.ndarray, dims, floor: float = SPECTRAL_FLOOR):
+def value_and_gradient_raw(amps: np.ndarray, dims):
     """Objective value and Euclidean gradient from one batched spectral pass.
 
     The directional derivative along ds is Re <ds|g>.  A pair's entropy term
     contributes -2 L M to its cut, with L = log2(rho) + I/ln 2 on the row pair;
     since f(M M^dagger) M = M f(M^dagger M) for a square M, the column pair
-    contributes the same.  Eigenvalues are clamped at ``floor`` inside the
-    logarithm; for a pure-state reduction the kernel eigenvectors never overlap
-    the state, so the clamp only guards round-off.
+    contributes the same.  Eigenvalues are clamped at ``SPECTRAL_FLOOR`` inside
+    the logarithm; for a pure-state reduction the kernel eigenvectors never
+    overlap the state, so the clamp only guards round-off.
     """
     m, rho = pair_cuts(amps, dims, FOUR_PARTY_CUT_ROWS)
     lam, vec = np.linalg.eigh(rho)
-    weights = np.log2(np.maximum(lam, floor)) + _INV_LN2
+    weights = np.log2(np.maximum(lam, SPECTRAL_FLOOR)) + _INV_LN2
     log_term = (vec * weights[:, None, :]) @ vec.conj().transpose(0, 2, 1)
     g = scatter_cuts(log_term @ m, dims, FOUR_PARTY_CUT_ROWS)
     return _mean_pair_entropy(lam), (-4.0 / 6.0) * g
 
 
-def gradient_raw(amps: np.ndarray, dims, floor: float = SPECTRAL_FLOOR) -> np.ndarray:
-    """Euclidean gradient of the mean pair entropy at raw amplitudes."""
-    return value_and_gradient_raw(amps, dims, floor)[1]
-
-
-def avg_pair_entropy(s: PureState) -> float:
-    """Average of the six pair entropies of a normalized four-party state."""
-    return profile(s).average
-
-
-def entropy_gradient(s: PureState, floor: float = SPECTRAL_FLOOR) -> PureState:
+def entropy_gradient(s: PureState) -> PureState:
     """Tangent-space gradient of the mean pair entropy at a normalized state.
 
     The Euclidean gradient is projected via g -> g - Re<s|g> s; the phase
@@ -76,17 +70,17 @@ def entropy_gradient(s: PureState, floor: float = SPECTRAL_FLOOR) -> PureState:
     _check_four_qubits(s.dims)
     if abs(s.norm() ** 2 - 1.0) > 1e-8:
         raise DomainError("entropy_gradient expects a normalized state")
-    g = gradient_raw(s.amps, s.dims, floor)
+    _, g = value_and_gradient_raw(s.amps, s.dims)
     g = g - np.real(np.vdot(s.amps, g)) * s.amps
     return PureState(s.dims, g)
 
 
-def stationarity_report(s: PureState, floor: float = SPECTRAL_FLOOR) -> dict:
+def stationarity_report(s: PureState) -> dict:
     """Value, tangent gradient norm, and radial coefficient Re<s|g> at ``s``."""
     _check_four_qubits(s.dims)
     if abs(s.norm() ** 2 - 1.0) > 1e-8:
         raise DomainError("stationarity_report expects a normalized state")
-    value, g = value_and_gradient_raw(s.amps, s.dims, floor)
+    value, g = value_and_gradient_raw(s.amps, s.dims)
     radial = float(np.real(np.vdot(s.amps, g)))
     tangent = g - radial * s.amps
     return {
@@ -94,6 +88,14 @@ def stationarity_report(s: PureState, floor: float = SPECTRAL_FLOOR) -> dict:
         "tangent_grad_norm": float(np.linalg.norm(tangent)),
         "radial_coefficient": radial,
     }
+
+
+def check_stopping(max_iters: int, grad_tol: float) -> None:
+    """Reject stopping rules under which ``ascend`` cannot run or report convergence."""
+    if max_iters < 1:
+        raise DomainError("max_iters must be >= 1")
+    if not grad_tol > 0:
+        raise DomainError(f"grad_tol must be positive, got {grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -104,19 +106,11 @@ class OptConfig:
     restarts: int = 20
     max_iters: int = 10_000
     grad_tol: float = 1e-8
-    initial_step: float = 1.0
-    backtrack: float = 0.5
-    min_step: float = 1e-12
-    armijo: float = 1e-4
-    spectral_floor: float = SPECTRAL_FLOOR
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1:
-            raise DomainError("restarts and max_iters must be >= 1")
-        if min(self.grad_tol, self.initial_step, self.min_step, self.armijo) <= 0:
-            raise DomainError("tolerances and steps must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise DomainError("backtrack factor must lie in (0, 1)")
+        check_stopping(self.max_iters, self.grad_tol)
+        if self.restarts < 1:
+            raise DomainError("restarts must be >= 1")
 
 
 @dataclass
@@ -128,36 +122,35 @@ class AscentOutcome:
     converged: bool
 
 
-def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000,
-           initial_step=1.0, backtrack=0.5, min_step=1e-12, armijo=1e-4) -> AscentOutcome:
+def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOutcome:
     """Backtracking gradient ascent on the unit sphere.
 
     Accepts a step when the retracted candidate gains at least
-    armijo * step * |g|^2; the objective is therefore non-decreasing across
+    ARMIJO * step * |g|^2; the objective is therefore non-decreasing across
     accepted steps.  Terminates when the tangent gradient norm drops below
-    ``grad_tol``, when no step above ``min_step`` is acceptable, or at
+    ``grad_tol``, when no step above ``MIN_STEP`` is acceptable, or at
     ``max_iters``.
     """
     s = np.asarray(amps0, dtype=complex).reshape(-1).copy()
     s /= np.linalg.norm(s)
     value, grad = value_grad_fn(s)
-    step = initial_step
+    step = INITIAL_STEP
     stagnant = 0
     for iteration in range(max_iters):
         tangent = grad - np.real(np.vdot(s, grad)) * s
         gnorm = float(np.linalg.norm(tangent))
         if gnorm < grad_tol:
             return AscentOutcome(s, value, gnorm, iteration, True)
-        t = min(initial_step, 2.0 * step)
+        t = min(INITIAL_STEP, 2.0 * step)
         accepted = False
-        while t >= min_step:
+        while t >= MIN_STEP:
             candidate = s + t * tangent
             candidate /= np.linalg.norm(candidate)
             cand_value = value_fn(candidate)
-            if cand_value >= value + armijo * t * gnorm * gnorm:
+            if cand_value >= value + ARMIJO * t * gnorm * gnorm:
                 accepted = True
                 break
-            t *= backtrack
+            t *= BACKTRACK
         if not accepted:
             return AscentOutcome(s, value, gnorm, iteration, False)
         # Near the objective's floating-point resolution the sufficient-increase
@@ -222,14 +215,10 @@ def _run_restart(amps0, config: OptConfig, restart: int) -> tuple:
     dims = (2, 2, 2, 2)
     outcome = ascend(
         lambda a: avg_entropy_raw(a, dims),
-        lambda a: value_and_gradient_raw(a, dims, config.spectral_floor),
+        lambda a: value_and_gradient_raw(a, dims),
         amps0,
         grad_tol=config.grad_tol,
         max_iters=config.max_iters,
-        initial_step=config.initial_step,
-        backtrack=config.backtrack,
-        min_step=config.min_step,
-        armijo=config.armijo,
     )
     state = PureState(dims, outcome.amps)
     residual = fingerprint_residual(profile(state), _m4_fingerprint())

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, DomainError, PARTY_LETTERS, PureState, partial_trace
+from .core import DensityMatrix, DomainError, PARTY_LETTERS, PureState, pair_cuts
 
 PAIRS = ("AB", "AC", "AD", "BC", "BD", "CD")
 TRACE_TOL = 1e-8
@@ -30,35 +30,45 @@ def complement(pair: str) -> str:
     return "".join(rest)
 
 
-def eigenvalue_entropy(lam) -> float:
-    """Von Neumann entropy in bits from a set of eigenvalues.
+def eigenvalue_entropy(lam):
+    """Von Neumann entropy in bits of each spectrum along the last axis of ``lam``.
 
     Eigenvalues in [-1e-10, 0) are treated as exact zeros; anything more
-    negative is rejected.  Eigenvalues below 1e-15 contribute exactly zero.
+    negative is rejected.  Eigenvalues below ``EIG_FLOOR`` contribute exactly zero.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.min(initial=0.0) < -1e-10:
         raise DomainError("matrix is not positive semidefinite within tolerance")
-    lam = lam[lam >= EIG_FLOOR]
-    return float(-np.sum(lam * np.log2(lam)))
+    kept = np.where(lam >= EIG_FLOOR, lam, 1.0)
+    return -(kept * np.log2(kept)).sum(axis=-1)
 
 
 def entropy(m: DensityMatrix) -> float:
     """Von Neumann entropy -tr(m log2 m) of a unit-trace density matrix."""
     if abs(m.trace() - 1.0) > TRACE_TOL:
         raise DomainError(f"trace deviates from 1 by more than {TRACE_TOL}")
-    return eigenvalue_entropy(np.linalg.eigvalsh(np.asarray(m.entries)))
+    return float(eigenvalue_entropy(np.linalg.eigvalsh(np.asarray(m.entries))))
 
 
 def pair_entropies(s: PureState) -> dict:
-    """Entropies of every two-party reduction, keyed by letter pairs."""
+    """Entropies of every two-party reduction, keyed by letter pairs AB, AC, ...
+
+    Pairs whose reductions have the same size share one ``pair_cuts`` gather
+    and one batched ``eigvalsh``; equal local dimensions make a single group.
+    """
     if s.n_parties < 3:
         raise DomainError("pair entropies need at least three parties")
-    out = {}
-    for a, b in itertools.combinations(range(s.n_parties), 2):
-        key = PARTY_LETTERS[a] + PARTY_LETTERS[b]
-        out[key] = entropy(partial_trace(s, (a, b)))
-    return out
+    if abs(s.norm() ** 2 - 1.0) > TRACE_TOL:
+        raise DomainError(f"squared norm deviates from 1 by more than {TRACE_TOL}")
+    pairs = list(itertools.combinations(range(s.n_parties), 2))
+    groups = {}
+    for a, b in pairs:
+        groups.setdefault(s.dims[a] * s.dims[b], []).append((a, b))
+    values = {}
+    for rows in groups.values():
+        _, rho = pair_cuts(s.amps, s.dims, tuple(rows))
+        values.update(zip(rows, eigenvalue_entropy(np.linalg.eigvalsh(rho)).tolist()))
+    return {PARTY_LETTERS[a] + PARTY_LETTERS[b]: values[a, b] for a, b in pairs}
 
 
 @dataclass(frozen=True)

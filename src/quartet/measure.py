@@ -6,7 +6,6 @@ the renormalized remainder is the residual state on the other parties, with
 their original order preserved.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,8 @@ from .core import (
     ShapeError,
     apply_local_unitary,
     inner,
-    partial_trace,
 )
-from .entropy import entropy
+from .entropy import pair_entropies
 
 PROB_FLOOR = 1e-14
 ORTHO_TOL = 1e-10
@@ -98,13 +96,14 @@ def measure(s: PureState, basis: MeasurementBasis) -> list:
 
 
 def residual_pair_entropies(residual: PureState, measured_party: int, n_parties: int) -> dict:
-    """Pair entropies of a residual, keyed by the original party letters."""
-    remaining = [q for q in range(n_parties) if q != measured_party]
-    out = {}
-    for (ia, a), (ib, b) in itertools.combinations(enumerate(remaining), 2):
-        key = PARTY_LETTERS[a] + PARTY_LETTERS[b]
-        out[key] = entropy(partial_trace(residual, (ia, ib)))
-    return out
+    """Pair entropies of a residual keyed by the original letters; {} below three parties."""
+    remaining = "".join(PARTY_LETTERS[q] for q in range(n_parties) if q != measured_party)
+    if len(remaining) != residual.n_parties:
+        raise DomainError(f"residual has {residual.n_parties} parties, expected {len(remaining)}")
+    if residual.n_parties < 3:
+        return {}
+    relabel = str.maketrans(PARTY_LETTERS[: len(remaining)], remaining)
+    return {key.translate(relabel): v for key, v in pair_entropies(residual).items()}
 
 
 def equivariance_overlap(s: PureState, party: int, u) -> float:

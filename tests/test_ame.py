@@ -191,3 +191,9 @@ def test_minimize_validation():
         ame.minimize_deviation((2, 2), restarts=0)
     with pytest.raises(ShapeError):
         ame.minimize_deviation(DIMS, restarts=1, start=catalog.make("C3"))
+    for dims in ((0, 0, 0, 0), (-2, -2), (1, 1)):
+        with pytest.raises(DomainError):
+            ame.minimize_deviation(dims)
+    for kwargs in ({"max_iters": 0}, {"grad_tol": 0.0}, {"grad_tol": float("nan")}):
+        with pytest.raises(DomainError):
+            ame.minimize_deviation((2, 2), **kwargs)

@@ -168,6 +168,20 @@ def test_maximize_strict_flags_nonconvergence(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ame", "--dims=0,0,0,0"],
+    ["ame", "--dims=-2,-2"],
+    ["ame", "--dims=1,1"],
+    ["ame", "--max-iters", "0"],
+    ["maximize", "--grad-tol", "nan"],
+    ["maximize", "--grad-tol", "0"],
+], ids=" ".join)
+def test_bad_optimizer_input_is_a_domain_error(capsys, argv):
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_stationarity_of_m4(tmp_path, capsys):
     path = write_state(tmp_path, "M4")
     code, payload, _ = run_cli(capsys, ["stationarity", path])
@@ -191,6 +205,15 @@ def test_measure_payload(tmp_path, capsys):
         for value in row["pair_entropies"].values():
             assert value == pytest.approx(RESIDUAL_ENTROPY, abs=1e-8)
     assert payload["manifest"]["seed"] == 5
+
+
+@pytest.mark.parametrize("tag", ["C3", "PHI_PLUS"])
+def test_measure_residual_without_a_proper_pair(tmp_path, capsys, tag):
+    code, payload, _ = run_cli(capsys, ["measure", write_state(tmp_path, tag), "--party", "A"])
+    assert code == 0
+    assert len(payload["outcomes"]) == 2
+    for row in payload["outcomes"]:
+        assert row["pair_entropies"] == {}
 
 
 def test_environment_seed_matches_explicit_seed(tmp_path, capsys, monkeypatch):
