@@ -8,7 +8,7 @@ real nonnegative and every coefficient with a single party excited to level 1
 vanishes at a true fixed point.
 """
 
-import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +22,8 @@ RESIDUAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-14
 TIE_TOL = 1e-12
 _MAX_RESEEDS = 8
+# Every start's vectors are held at once, so the start count is bounded.
+MAX_RESTARTS = 4096
 
 
 def unitary_from_first_column(v) -> np.ndarray:
@@ -46,14 +48,19 @@ def unitary_from_first_column(v) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _contract(t: np.ndarray, vectors, skip: int) -> np.ndarray:
-    """Contract conj(vectors[q]) onto every axis q != skip; returns a local vector."""
-    out = t
-    for q in sorted(range(t.ndim), reverse=True):
-        if q == skip:
-            continue
-        out = np.tensordot(out, vectors[q].conj(), axes=([q], [0]))
-    return out
+def _contract_rows(front: np.ndarray, vectors, party: int) -> np.ndarray:
+    """Contract conj(vectors[q]) onto every axis q != party; returns ``(R, d_party)``.
+
+    ``front`` is the state tensor with ``party``'s axis moved to the front, and
+    ``vectors[q]`` stacks R local vectors as ``(R, d_q)``.  One stacked matmul per
+    axis, so a call costs about the same for R rows as for one.
+    """
+    out = front[None]
+    for q in reversed(range(len(vectors))):
+        if q != party:
+            vec = vectors[q]
+            out = out.reshape(len(out), -1, vec.shape[1]) @ vec.conj()[:, :, None]
+    return out.reshape(len(out), front.shape[0])
 
 
 def best_local_vector(s: PureState, party: int, others) -> tuple:
@@ -73,10 +80,10 @@ def best_local_vector(s: PureState, party: int, others) -> tuple:
             vec = others[q]
         except (KeyError, IndexError, TypeError):
             raise DomainError(f"missing fixed vector for party {q}") from None
-        vectors[q] = np.asarray(vec, dtype=complex).reshape(-1)
-        if vectors[q].size != s.dims[q]:
+        vectors[q] = np.asarray(vec, dtype=complex).reshape(1, -1)
+        if vectors[q].shape[1] != s.dims[q]:
             raise DomainError(f"fixed vector for party {q} has wrong dimension")
-    v = _contract(s.tensor(), vectors, party)
+    v = _contract_rows(np.moveaxis(s.tensor(), party, 0), vectors, party)[0]
     nv = float(np.linalg.norm(v))
     if nv < DEGENERACY_TOL:
         e0 = np.zeros(s.dims[party], dtype=complex)
@@ -93,50 +100,85 @@ def _random_product(dims, rng):
     return vecs
 
 
-def _alternate(t, dims, vectors, rng, max_sweeps=MAX_SWEEPS, tol=SWEEP_RESIDUAL_TOL):
-    """Run alternating maximization from a product start; returns (vecs, N, history).
+@dataclass(frozen=True)
+class RestartRecord:
+    """What one start of the alternating search did.
 
-    Stops once a full sweep moves no contraction off its current axis by more
-    than ``tol``.  That drift bounds the single-excitation coefficients of the
-    final form, so stopping on it (rather than on the overlap increment, which
-    saturates at float resolution long before the vectors settle) is what keeps
-    ``zero_residual`` small.
+    ``stop_reason`` is ``settled`` (a sweep after the first moved no contraction
+    off its axis by more than ``SWEEP_RESIDUAL_TOL``), ``max_sweeps`` (stopped
+    at ``MAX_SWEEPS`` without settling) or ``reseeds_exhausted`` (a degenerate
+    contraction after ``_MAX_RESEEDS`` reseeds).  ``sweeps`` counts the sweeps
+    since the last reseed.
     """
-    n = len(dims)
-    vectors = [np.asarray(v, dtype=complex).copy() for v in vectors]
-    history = []
-    overlap = 0.0
-    reseeds = 0
-    sweep = 0
-    while sweep < max_sweeps:
-        degenerate = False
-        drift = 0.0
+
+    restart: int
+    sweeps: int
+    reseeds: int
+    overlap: float
+    stop_reason: str
+
+
+def _alternate(t: np.ndarray, starts, rngs):
+    """Run alternating maximization from R product starts in lockstep.
+
+    ``starts[q]`` stacks party q's start vectors as ``(R, d_q)``; row r reseeds
+    from ``rngs[r]`` after a degenerate contraction.  A row stops once a sweep
+    after the first moves no contraction off its current axis by more than
+    ``SWEEP_RESIDUAL_TOL``.  That drift bounds the single-excitation
+    coefficients of the final form, so stopping on it (rather than on the
+    overlap increment, which saturates at float resolution long before the
+    vectors settle) is what keeps ``zero_residual`` small.  Stopped rows are
+    frozen while the others go on.
+    Returns ``(vectors, histories, records)``.
+    """
+    n = t.ndim
+    rows = len(rngs)
+    fronts = [np.ascontiguousarray(np.moveaxis(t, p, 0)) for p in range(n)]
+    vectors = list(starts)
+    overlap = np.zeros(rows)
+    histories = [[] for _ in range(rows)]
+    reseeds = [0] * rows
+    reasons = [None] * rows
+    active = np.ones(rows, dtype=bool)
+    while active.any():
+        live = active.copy()
+        drift = np.zeros(rows)
         for p in range(n):
-            v = _contract(t, vectors, p)
-            nv = np.linalg.norm(v)
-            if nv < DEGENERACY_TOL:
-                degenerate = True
-                break
+            v = _contract_rows(fronts[p], vectors, p)
+            nv = np.linalg.norm(v, axis=1)
+            live &= nv >= DEGENERACY_TOL
             # Component of the new contraction orthogonal to the vector the
             # sweep is about to replace; zero exactly at a fixed point.
-            axial = (vectors[p].conj() @ v) * vectors[p]
-            drift = max(drift, float(np.linalg.norm(v - axial)))
-            vectors[p] = v / nv
-            overlap = float(nv * nv)
-        if degenerate:
-            if reseeds >= _MAX_RESEEDS:
-                break
-            vectors = _random_product(dims, rng)
-            reseeds += 1
-            overlap = 0.0
-            history.clear()
-            sweep = 0
-            continue
-        history.append(overlap)
-        sweep += 1
-        if sweep > 1 and drift < tol:
-            break
-    return vectors, overlap, history
+            axial = (vectors[p].conj() * v).sum(axis=1)[:, None] * vectors[p]
+            drift = np.maximum(drift, np.linalg.norm(v - axial, axis=1))
+            vectors[p] = np.where(live[:, None], v / np.maximum(nv, DEGENERACY_TOL)[:, None],
+                                  vectors[p])
+            overlap = np.where(live, nv * nv, overlap)
+        values = overlap.tolist()
+        for r in np.flatnonzero(active).tolist():
+            if not live[r]:
+                if reseeds[r] >= _MAX_RESEEDS:
+                    reasons[r] = "reseeds_exhausted"
+                    active[r] = False
+                    continue
+                for q, vec in enumerate(_random_product(t.shape, rngs[r])):
+                    vectors[q][r] = vec
+                reseeds[r] += 1
+                overlap[r] = 0.0
+                histories[r].clear()
+                continue
+            histories[r].append(values[r])
+            sweeps = len(histories[r])
+            if sweeps > 1 and drift[r] < SWEEP_RESIDUAL_TOL:
+                reasons[r] = "settled"
+            elif sweeps >= MAX_SWEEPS:
+                reasons[r] = "max_sweeps"
+            active[r] = reasons[r] is None
+    records = [
+        RestartRecord(r, len(histories[r]), reseeds[r], float(overlap[r]), reasons[r])
+        for r in range(rows)
+    ]
+    return vectors, histories, records
 
 
 @dataclass(frozen=True)
@@ -147,6 +189,7 @@ class CanonicalForm:
     its |0...0> coefficient is real nonnegative and equals sqrt(overlap).
     ``zero_residual`` is the largest modulus over the n single-excitation
     coefficients; values >= 1e-8 mean the alternating search did not converge.
+    ``restarts`` holds one ``RestartRecord`` per start, the computational one first.
     """
 
     state: PureState
@@ -156,42 +199,45 @@ class CanonicalForm:
     converged: bool
     sweeps: int
     history: list = field(repr=False)
+    restarts: list = field(repr=False)
 
 
 def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CanonicalForm:
     """Find the closest product state and rotate it onto |0...0>.
 
     Runs one start from the computational product |0...0> plus ``restarts``
-    random product starts; keeps the largest overlap.  The earliest start wins
-    ties up to float noise, so a state already in canonical form comes back
-    with identity rotations instead of whatever a random restart landed on.
+    random product starts, all in lockstep, and keeps the largest overlap.  The
+    earliest start wins ties up to float noise, so a state already in canonical
+    form comes back with identity rotations instead of whatever a random
+    restart landed on.  ``restarts`` must be an integer in 1..``MAX_RESTARTS``,
+    since every start's vectors are held at once.
     """
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
+    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral):
+        raise DomainError(f"restarts must be an integer, got {restarts!r}")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise DomainError(f"restarts must be between 1 and {MAX_RESTARTS}, got {restarts}")
     if abs(s.norm() ** 2 - 1.0) > 1e-8:
         raise DomainError("canonicalize expects a normalized state")
     t = s.tensor()
     dims = s.dims
     n = s.n_parties
 
-    comp = []
-    for d in dims:
-        e0 = np.zeros(d, dtype=complex)
-        e0[0] = 1.0
-        comp.append(e0)
+    rngs = [np.random.default_rng([seed, r]) for r in range(restarts + 1)]
+    products = [[np.eye(d, dtype=complex)[0] for d in dims]]
+    products += [_random_product(dims, rng) for rng in rngs[1:]]
+    starts = [np.array(column) for column in zip(*products)]
+    vectors, histories, records = _alternate(t, starts, rngs)
 
-    best = None
-    for r in range(restarts + 1):
-        rng = np.random.default_rng([seed, r])
-        start = comp if r == 0 else _random_product(dims, rng)
-        vecs, overlap, history = _alternate(t, dims, start, rng)
-        if best is None or overlap > best[0] + TIE_TOL:
-            best = (overlap, vecs, history)
-    overlap, vecs, history = best
+    best = 0
+    for r in range(1, restarts + 1):
+        if records[r].overlap > records[best].overlap + TIE_TOL:
+            best = r
+    overlap, history = records[best].overlap, histories[best]
+    vecs = [v[best] for v in vectors]
 
     # Rotate the phase of the party-0 vector so the canonical |0...0| coefficient
     # comes out real nonnegative.
-    amplitude = complex(_contract(t, vecs, 0) @ vecs[0].conj())
+    amplitude = complex(_contract_rows(t, [v[None] for v in vecs], 0)[0] @ vecs[0].conj())
     if abs(amplitude) > 0:
         vecs[0] = vecs[0] * (amplitude / abs(amplitude))
 
@@ -215,4 +261,5 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
         converged=bool(residual < RESIDUAL_TOL),
         sweeps=len(history),
         history=history,
+        restarts=records,
     )

@@ -96,6 +96,7 @@ def _cmd_canonicalize(args):
         "zero_residual": form.zero_residual,
         "converged": form.converged,
         "sweeps": form.sweeps,
+        "manifest": {"stats": {"restarts": [asdict(r) for r in form.restarts]}},
     }
     code = 0
     if args.strict and not form.converged:
@@ -312,8 +313,10 @@ def dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = dict(payload)
-    payload["manifest"] = _manifest(args, getattr(args, "seed", None),
-                                    time.perf_counter() - started)
+    manifest = _manifest(args, getattr(args, "seed", None), time.perf_counter() - started)
+    # A subcommand may add entries, such as per-restart stats, to the manifest.
+    manifest.update(payload.pop("manifest", {}))
+    payload["manifest"] = manifest
     print(json.dumps(payload, indent=2 if args.pretty else None))
     return code
 

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from quartet import canonical
 from quartet.canonical import (
+    DEGENERACY_TOL,
+    MAX_RESTARTS,
+    MAX_SWEEPS,
+    SWEEP_RESIDUAL_TOL,
     CanonicalForm,
     best_local_vector,
     canonicalize,
@@ -91,7 +96,7 @@ def _grid_best_product_overlap(s: PureState, steps: int = 13) -> float:
     for v1c in conj:
         t1 = np.tensordot(t, v1c, axes=([0], [0]))
         batch2 = (conj @ t1.reshape(2, 4)).reshape(-1, 2, 2)
-        w = np.einsum("ck,bkl->bcl", conj, batch2)
+        w = conj[None] @ batch2
         best = max(best, float(np.max(np.sum(np.abs(w) ** 2, axis=2))))
     return best
 
@@ -178,11 +183,26 @@ def test_overlap_invariant_under_local_rotations():
 
 
 def test_canonicalize_validates_input():
-    with pytest.raises(DomainError):
-        canonicalize(make("C4"), restarts=0)
+    for bad in (0, -1, MAX_RESTARTS + 1, 2.5, True, "4", None):
+        with pytest.raises(DomainError):
+            canonicalize(make("C4"), restarts=bad)
     unnormalized = PureState((2, 2, 2, 2), np.ones(16))
     with pytest.raises(DomainError):
         canonicalize(unnormalized)
+    assert canonicalize(make("C4"), restarts=np.int64(1)).overlap == pytest.approx(0.5)
+
+
+def test_restart_bound_fires_before_any_start_is_allocated(monkeypatch):
+    c4 = make("C4")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a batch of starts was allocated")
+
+    monkeypatch.setattr(canonical.np.random, "default_rng", forbidden)
+    monkeypatch.setattr(canonical, "_alternate", forbidden)
+    for bad in (MAX_RESTARTS + 1, 10**12):
+        with pytest.raises(DomainError, match="restarts"):
+            canonicalize(c4, restarts=bad)
 
 
 def test_m4_canonical_residual():
@@ -190,3 +210,115 @@ def test_m4_canonical_residual():
     assert form.converged
     assert form.zero_residual < 1e-8
     assert isinstance(form, CanonicalForm)
+
+
+def _sequential_contract(t, vectors, skip):
+    out = t
+    for q in sorted(range(t.ndim), reverse=True):
+        if q == skip:
+            continue
+        out = np.tensordot(out, vectors[q].conj(), axes=([q], [0]))
+    return out
+
+
+def _sequential_alternate(t, dims, vectors, rng):
+    """Reference: one start at a time, the loop the lockstep alternation replaced."""
+    vectors = [np.asarray(v, dtype=complex).copy() for v in vectors]
+    history = []
+    overlap = 0.0
+    reseeds = 0
+    sweep = 0
+    while sweep < MAX_SWEEPS:
+        degenerate = False
+        drift = 0.0
+        for p in range(len(dims)):
+            v = _sequential_contract(t, vectors, p)
+            nv = np.linalg.norm(v)
+            if nv < DEGENERACY_TOL:
+                degenerate = True
+                break
+            axial = (vectors[p].conj() @ v) * vectors[p]
+            drift = max(drift, float(np.linalg.norm(v - axial)))
+            vectors[p] = v / nv
+            overlap = float(nv * nv)
+        if degenerate:
+            if reseeds >= canonical._MAX_RESEEDS:
+                break
+            vectors = canonical._random_product(dims, rng)
+            reseeds += 1
+            overlap = 0.0
+            history.clear()
+            sweep = 0
+            continue
+        history.append(overlap)
+        sweep += 1
+        if sweep > 1 and drift < SWEEP_RESIDUAL_TOL:
+            break
+    return overlap, history
+
+
+def _sequential_restarts(s, restarts, seed):
+    comp = [np.eye(d, dtype=complex)[0] for d in s.dims]
+    out = []
+    for r in range(restarts + 1):
+        rng = np.random.default_rng([seed, r])
+        start = comp if r == 0 else canonical._random_product(s.dims, rng)
+        out.append(_sequential_alternate(s.tensor(), s.dims, start, rng))
+    return out
+
+
+_LOCKSTEP_CASES = [
+    (dims, random_state(dims, np.random.default_rng([60, k])), k)
+    for dims in ((2, 2, 2, 2), (3, 3, 3), (2, 2, 2, 2, 2), (4, 4, 4, 4))
+    for k in range(2)
+] + [("M4", make("M4"), 0)]
+
+
+@pytest.mark.parametrize("label,s,seed", _LOCKSTEP_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in _LOCKSTEP_CASES])
+def test_lockstep_matches_sequential_restarts(label, s, seed):
+    form = canonicalize(s, restarts=8, seed=seed)
+    reference = _sequential_restarts(s, 8, seed)
+    assert [r.restart for r in form.restarts] == list(range(9))
+    for record, (overlap, history) in zip(form.restarts, reference):
+        assert record.sweeps == len(history)
+        assert abs(record.overlap - overlap) <= 1e-12
+        assert record.stop_reason == "settled"
+    if label == "M4":
+        # the computational start is degenerate: the reseed path is exercised
+        assert form.restarts[0].reseeds >= 1
+    assert form.sweeps in {r.sweeps for r in form.restarts}
+
+
+def test_restart_records_do_not_depend_on_batch_size():
+    for k in range(3):
+        s = random_state((2, 2, 2, 2), np.random.default_rng([61, k]))
+        small = canonicalize(s, restarts=4, seed=k).restarts
+        large = canonicalize(s, restarts=16, seed=k).restarts
+        assert small == large[:5]
+    m4 = make("M4")
+    assert canonicalize(m4, restarts=4).restarts == canonicalize(m4, restarts=16).restarts[:5]
+
+
+def test_seeded_canonicalize_reruns_are_bitwise_identical():
+    for s in (random_state((3, 3, 3), np.random.default_rng(62)), make("M4")):
+        first = canonicalize(s, restarts=6, seed=5)
+        second = canonicalize(s, restarts=6, seed=5)
+        assert np.array_equal(first.state.amps, second.state.amps)
+        for a, b in zip(first.local_unitaries, second.local_unitaries):
+            assert np.array_equal(a, b)
+        assert first.history == second.history
+        assert first.restarts == second.restarts
+
+
+def test_stop_reasons_tell_sweep_cap_and_exhausted_reseeds_apart(monkeypatch):
+    s = random_state((2, 2, 2, 2), np.random.default_rng(63))
+    settled = canonicalize(s, restarts=3, seed=0).restarts
+    assert {r.stop_reason for r in settled} == {"settled"}
+    monkeypatch.setattr(canonical, "MAX_SWEEPS", 2)
+    capped = canonicalize(s, restarts=3, seed=0)
+    assert [(r.stop_reason, r.sweeps) for r in capped.restarts] == [("max_sweeps", 2)] * 4
+    monkeypatch.setattr(canonical, "_MAX_RESEEDS", 0)
+    m4 = canonicalize(make("M4"), restarts=3, seed=0).restarts
+    assert (m4[0].stop_reason, m4[0].sweeps, m4[0].reseeds) == ("reseeds_exhausted", 0, 0)
+    assert all(r.stop_reason != "reseeds_exhausted" for r in m4[1:])

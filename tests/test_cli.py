@@ -148,6 +148,32 @@ def test_canonicalize_m4_emits_json_bool(tmp_path, capsys):
     assert '"converged": true' in out or '"converged": false' in out
 
 
+def test_canonicalize_reports_restarts_under_manifest_stats(tmp_path, capsys):
+    path = write_state(tmp_path, "M4")
+    argv = ["canonicalize", path, "--restarts", "4", "--seed", "0"]
+    code, payload, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert set(payload) == {"state", "unitaries", "overlap", "zero_residual", "converged",
+                            "sweeps", "manifest"}
+    records = payload["manifest"]["stats"]["restarts"]
+    assert [r["restart"] for r in records] == [0, 1, 2, 3, 4]
+    assert set(records[0]) == {"restart", "sweeps", "reseeds", "overlap", "stop_reason"}
+    # the computational start of |M4> is degenerate and reseeds once
+    assert records[0]["reseeds"] >= 1
+    assert {r["stop_reason"] for r in records} == {"settled"}
+    assert payload["sweeps"] in {r["sweeps"] for r in records}
+    _, again, _ = run_cli(capsys, argv)
+    assert strip_duration(again) == strip_duration(payload)
+
+
+@pytest.mark.parametrize("restarts", ["5000", "0"])
+def test_canonicalize_restart_count_out_of_range(tmp_path, capsys, restarts):
+    path = write_state(tmp_path, "C4")
+    code, payload, err = run_cli(capsys, ["canonicalize", path, "--restarts", restarts])
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_ame_two_qubits_reaches_zero(capsys):
     code, payload, _ = run_cli(
         capsys, ["ame", "--dims", "2,2", "--restarts", "2", "--seed", "0"]
