@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .ame import AmeDeviation, DeviationReport, ReshapeMatrix, ame_deviation, minimize_deviation, reshape
 from .ascent import (
-    OptConfig,
     OptReport,
     entropy_gradient,
     maximize,

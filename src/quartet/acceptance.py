@@ -190,7 +190,7 @@ def criterion_search() -> tuple[bool, str]:
     report = ascent.maximize()
     gap = abs(report.best_value - TARGET_AVERAGE)
     converged = [r for r in report.restarts if r.converged]
-    mismatches = [r.restart for r in converged if r.fingerprint_residual > 1e-6]
+    mismatches = [r.restart for r in converged if report.fingerprint_residuals[r.restart] > 1e-6]
     ok = gap < 1e-6 and not mismatches
     details = (
         f"best value {report.best_value:.12f} (off target by {gap:.2e}, tol 1e-06); "

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ascent import ascend, check_stopping, haar_starts
-from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, ShapeError, pair_cuts, scatter_cuts
+from .ascent import multistart
+from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, pair_cuts, scatter_cuts
 
 CUTS = ("AB_CD", "AC_BD", "AD_BC")
 # Cut labels and row parties, by number of parties.
@@ -98,15 +98,6 @@ def deviation_value_and_gradient_raw(amps, dims):
 
 
 @dataclass(frozen=True)
-class RestartRecord:
-    restart: int
-    value: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
 class DeviationReport:
     """Best deviation found by multi-start descent plus per-restart diagnostics."""
 
@@ -125,41 +116,23 @@ def minimize_deviation(dims, restarts: int = 50, seed: int = 0, max_iters: int =
 
     Supports two or four parties of equal local dimension.  Restart k draws a
     Haar-random start from a (seed, k) sub-seed; an optional explicit ``start``
-    is prepended.  Returns the lowest total found (first restart wins ties).
+    is prepended.  Returns the lowest total found (first restart wins ties);
+    ``restarts`` holds one ``ascent.RestartRecord`` per start.
     """
     dims = _check_equal_dims(dims)
     _cuts(dims)
-    check_stopping(max_iters, grad_tol)
-    if restarts < 1 and start is None:
-        raise DomainError("restarts must be >= 1 when no explicit start is given")
-    if start is not None and tuple(start.dims) != dims:
-        raise ShapeError(f"start state has dims {start.dims}, expected {dims}")
-    starts = haar_starts(math.prod(dims), restarts, seed, start)
-
-    def value_fn(a):
-        return -deviation_value_raw(a, dims)
-
-    def value_grad_fn(a):
-        v, g = deviation_value_and_gradient_raw(a, dims)
-        return -v, -g
-
-    records, best = [], None
-    for r, amps0 in enumerate(starts):
-        outcome = ascend(value_fn, value_grad_fn, amps0,
-                         grad_tol=grad_tol, max_iters=max_iters)
-        value = -outcome.value
-        records.append(RestartRecord(r, value, outcome.grad_norm,
-                                     outcome.iterations, outcome.converged))
-        if best is None or value < best[0]:
-            best = (value, outcome)
-    value, outcome = best
-    state = PureState(dims, outcome.amps)
+    records, finals, best = multistart(
+        deviation_value_raw, deviation_value_and_gradient_raw, dims, restarts=restarts, seed=seed,
+        max_iters=max_iters, grad_tol=grad_tol, start=start, minimize=True,
+    )
+    record = records[best]
+    state = PureState(dims, finals[best])
     return DeviationReport(
-        floor=value,
+        floor=record.value,
         state=state,
         per_cut=_per_cut(state.amps, dims),
-        grad_norm=outcome.grad_norm,
-        iterations=outcome.iterations,
-        converged=outcome.converged,
+        grad_norm=record.grad_norm,
+        iterations=record.iterations,
+        converged=record.converged,
         restarts=records,
     )

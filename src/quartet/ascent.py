@@ -16,7 +16,8 @@ import numpy as np
 
 from . import catalog
 from .entropy import FINGERPRINT_TOL, eigenvalue_entropy, fingerprint_residual, profile
-from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, pair_cuts, scatter_cuts
+from .core import (FOUR_PARTY_CUT_ROWS, DomainError, PureState, ShapeError, check_count,
+                   pair_cuts, random_state, scatter_cuts)
 
 SPECTRAL_FLOOR = 1e-12  # eigenvalue clamp inside the gradient's logarithm
 # Line search: first trial step, backtracking factor, smallest step, Armijo coefficient.
@@ -25,11 +26,14 @@ BACKTRACK = 0.5
 MIN_STEP = 1e-12
 ARMIJO = 1e-4
 _INV_LN2 = 1.0 / math.log(2.0)
+FOUR_QUBITS = (2, 2, 2, 2)
 
 
-def _check_four_qubits(dims):
-    if tuple(dims) != (2, 2, 2, 2):
-        raise DomainError(f"expected four qubits, got dims {tuple(dims)}")
+def _check_state(s: PureState, caller: str):
+    if s.dims != FOUR_QUBITS:
+        raise DomainError(f"expected four qubits, got dims {s.dims}")
+    if abs(s.norm() ** 2 - 1.0) > 1e-8:
+        raise DomainError(f"{caller} expects a normalized state")
 
 
 def _mean_pair_entropy(lam: np.ndarray) -> float:
@@ -67,9 +71,7 @@ def entropy_gradient(s: PureState) -> PureState:
     The Euclidean gradient is projected via g -> g - Re<s|g> s; the phase
     direction carries no gradient because the objective is phase invariant.
     """
-    _check_four_qubits(s.dims)
-    if abs(s.norm() ** 2 - 1.0) > 1e-8:
-        raise DomainError("entropy_gradient expects a normalized state")
+    _check_state(s, "entropy_gradient")
     _, g = value_and_gradient_raw(s.amps, s.dims)
     g = g - np.real(np.vdot(s.amps, g)) * s.amps
     return PureState(s.dims, g)
@@ -77,9 +79,7 @@ def entropy_gradient(s: PureState) -> PureState:
 
 def stationarity_report(s: PureState) -> dict:
     """Value, tangent gradient norm, and radial coefficient Re<s|g> at ``s``."""
-    _check_four_qubits(s.dims)
-    if abs(s.norm() ** 2 - 1.0) > 1e-8:
-        raise DomainError("stationarity_report expects a normalized state")
+    _check_state(s, "stationarity_report")
     value, g = value_and_gradient_raw(s.amps, s.dims)
     radial = float(np.real(np.vdot(s.amps, g)))
     tangent = g - radial * s.amps
@@ -90,29 +90,6 @@ def stationarity_report(s: PureState) -> dict:
     }
 
 
-def check_stopping(max_iters: int, grad_tol: float) -> None:
-    """Reject stopping rules under which ``ascend`` cannot run or report convergence."""
-    if max_iters < 1:
-        raise DomainError("max_iters must be >= 1")
-    if not grad_tol > 0:
-        raise DomainError(f"grad_tol must be positive, got {grad_tol}")
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    """Knobs for multi-start sphere ascent; defaults match the shipped suite."""
-
-    seed: int = 0
-    restarts: int = 20
-    max_iters: int = 10_000
-    grad_tol: float = 1e-8
-
-    def __post_init__(self):
-        check_stopping(self.max_iters, self.grad_tol)
-        if self.restarts < 1:
-            raise DomainError("restarts must be >= 1")
-
-
 @dataclass
 class AscentOutcome:
     amps: np.ndarray
@@ -120,6 +97,13 @@ class AscentOutcome:
     grad_norm: float
     iterations: int
     converged: bool
+    stop_reason: str
+
+
+def _stopped(amps, value, gnorm, iterations, grad_tol, reason) -> AscentOutcome:
+    converged = gnorm < grad_tol
+    return AscentOutcome(amps, value, gnorm, iterations, converged,
+                         "converged" if converged else reason)
 
 
 def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOutcome:
@@ -127,9 +111,10 @@ def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -
 
     Accepts a step when the retracted candidate gains at least
     ARMIJO * step * |g|^2; the objective is therefore non-decreasing across
-    accepted steps.  Terminates when the tangent gradient norm drops below
-    ``grad_tol``, when no step above ``MIN_STEP`` is acceptable, or at
-    ``max_iters``.
+    accepted steps.  ``stop_reason`` names the exit: ``converged`` (tangent
+    gradient norm below ``grad_tol``, at whichever exit), ``line_search_failed``
+    (no step above ``MIN_STEP`` is acceptable), ``stalled_at_resolution`` (50
+    accepted steps in a row gained nothing) or ``max_iters``.
     """
     s = np.asarray(amps0, dtype=complex).reshape(-1).copy()
     s /= np.linalg.norm(s)
@@ -140,7 +125,7 @@ def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -
         tangent = grad - np.real(np.vdot(s, grad)) * s
         gnorm = float(np.linalg.norm(tangent))
         if gnorm < grad_tol:
-            return AscentOutcome(s, value, gnorm, iteration, True)
+            return _stopped(s, value, gnorm, iteration, grad_tol, "converged")
         t = min(INITIAL_STEP, 2.0 * step)
         accepted = False
         while t >= MIN_STEP:
@@ -152,7 +137,7 @@ def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -
                 break
             t *= BACKTRACK
         if not accepted:
-            return AscentOutcome(s, value, gnorm, iteration, False)
+            return _stopped(s, value, gnorm, iteration, grad_tol, "line_search_failed")
         # Near the objective's floating-point resolution the sufficient-increase
         # threshold underflows and tie-valued steps get accepted forever; a long
         # run of them means the search has hit that resolution, not a plateau.
@@ -162,43 +147,83 @@ def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -
         if stagnant >= 50:
             tangent = grad - np.real(np.vdot(s, grad)) * s
             gnorm = float(np.linalg.norm(tangent))
-            return AscentOutcome(s, value, gnorm, iteration + 1, gnorm < grad_tol)
+            return _stopped(s, value, gnorm, iteration + 1, grad_tol, "stalled_at_resolution")
     tangent = grad - np.real(np.vdot(s, grad)) * s
     gnorm = float(np.linalg.norm(tangent))
-    return AscentOutcome(s, value, gnorm, max_iters, gnorm < grad_tol)
+    return _stopped(s, value, gnorm, max_iters, grad_tol, "max_iters")
 
 
-def haar_starts(n_amps: int, restarts: int, seed: int, start: PureState = None) -> list:
-    """An optional explicit start, then restart k's Haar-random start from a (seed, k) sub-seed."""
-    starts = [] if start is None else [start.amps]
+def haar_starts(dims, restarts: int, seed: int, start: PureState = None):
+    """An optional explicit start, then Haar starts from sub-seeds (seed, k), drawn lazily."""
+    if start is not None:
+        yield start.amps
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        z = rng.standard_normal(n_amps) + 1j * rng.standard_normal(n_amps)
-        starts.append(z / np.linalg.norm(z))
-    return starts
+        yield random_state(dims, np.random.default_rng([seed, r])).amps
 
 
 @dataclass(frozen=True)
-class RestartResult:
+class RestartRecord:
+    """What one start of a multi-start search did; ``value`` has the objective's own sign."""
+
     restart: int
     value: float
     grad_norm: float
     iterations: int
     converged: bool
-    classification: str
-    fingerprint_residual: float
+    stop_reason: str
+
+
+def multistart(value_fn, value_grad_fn, dims, *, restarts: int, seed: int, max_iters: int,
+               grad_tol: float, start: PureState = None, minimize: bool = False) -> tuple:
+    """Run ``ascend`` from an optional explicit ``start`` and ``restarts`` Haar starts.
+
+    ``value_fn(amps, dims)`` and ``value_grad_fn(amps, dims)`` are a raw
+    objective and its Euclidean gradient, negated for the ascent if
+    ``minimize``.  ``restarts`` may be 0 only with a ``start``.  Returns one
+    ``RestartRecord`` and one final amplitude vector per start, and the index
+    of the best start (the earliest wins ties).
+    """
+    check_count("max_iters", max_iters, 1)
+    if not grad_tol > 0:
+        raise DomainError(f"grad_tol must be positive, got {grad_tol}")
+    check_count("restarts", restarts, 0 if start is not None else 1)
+    check_count("seed", seed)
+    if start is not None and tuple(start.dims) != tuple(dims):
+        raise ShapeError(f"start state has dims {start.dims}, expected {tuple(dims)}")
+
+    def signed(x):
+        return -x if minimize else x
+
+    def value(amps):
+        return signed(value_fn(amps, dims))
+
+    def value_grad(amps):
+        v, g = value_grad_fn(amps, dims)
+        return signed(v), signed(g)
+
+    outcomes = [ascend(value, value_grad, amps0, grad_tol=grad_tol, max_iters=max_iters)
+                for amps0 in haar_starts(dims, restarts, seed, start)]
+    best = max(range(len(outcomes)), key=lambda i: (outcomes[i].value, -i))
+    records = [RestartRecord(r, signed(o.value), o.grad_norm, o.iterations, o.converged,
+                             o.stop_reason) for r, o in enumerate(outcomes)]
+    return records, [o.amps for o in outcomes], best
 
 
 @dataclass(frozen=True)
 class OptReport:
-    """Best state found by multi-start ascent plus per-restart diagnostics."""
+    """Best state of a multi-start ascent, each restart's record and |M4> profile residual."""
 
     best_value: float
     best_state: PureState
     best_grad_norm: float
     best_restart: int
     restarts: list
-    config: OptConfig = field(repr=False)
+    fingerprint_residuals: list = field(repr=False)
+
+    @property
+    def classifications(self) -> list:
+        return ["MATCHES_M4_PROFILE" if r <= FINGERPRINT_TOL else "OTHER"
+                for r in self.fingerprint_residuals]
 
 
 _M4_FINGERPRINT = None
@@ -211,48 +236,19 @@ def _m4_fingerprint():
     return _M4_FINGERPRINT
 
 
-def _run_restart(amps0, config: OptConfig, restart: int) -> tuple:
-    dims = (2, 2, 2, 2)
-    outcome = ascend(
-        lambda a: avg_entropy_raw(a, dims),
-        lambda a: value_and_gradient_raw(a, dims),
-        amps0,
-        grad_tol=config.grad_tol,
-        max_iters=config.max_iters,
-    )
-    state = PureState(dims, outcome.amps)
-    residual = fingerprint_residual(profile(state), _m4_fingerprint())
-    label = "MATCHES_M4_PROFILE" if residual <= FINGERPRINT_TOL else "OTHER"
-    record = RestartResult(
-        restart=restart,
-        value=outcome.value,
-        grad_norm=outcome.grad_norm,
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        classification=label,
-        fingerprint_residual=residual,
-    )
-    return state, record
-
-
-def maximize(config: OptConfig = None, start: PureState = None) -> OptReport:
+def maximize(*, restarts: int = 20, seed: int = 0, max_iters: int = 10_000,
+             grad_tol: float = 1e-8, start: PureState = None) -> OptReport:
     """Multi-start ascent of the average pair entropy over four-qubit states.
 
     Restart k draws its Haar-random start from a (seed, k) sub-seed, so runs
-    with identical configs reproduce bitwise.  An optional explicit ``start``
+    with equal arguments reproduce bitwise.  An optional explicit ``start``
     is prepended as restart 0.
     """
-    config = config or OptConfig()
-    if start is not None:
-        _check_four_qubits(start.dims)
-    starts = haar_starts(16, config.restarts, config.seed, start)
-    states, records = map(list, zip(*(_run_restart(a, config, r) for r, a in enumerate(starts))))
-    best = max(range(len(records)), key=lambda i: (records[i].value, -i))
-    return OptReport(
-        best_value=records[best].value,
-        best_state=states[best],
-        best_grad_norm=records[best].grad_norm,
-        best_restart=best,
-        restarts=records,
-        config=config,
+    records, finals, best = multistart(
+        avg_entropy_raw, value_and_gradient_raw, FOUR_QUBITS, restarts=restarts, seed=seed,
+        max_iters=max_iters, grad_tol=grad_tol, start=start,
     )
+    states = [PureState(FOUR_QUBITS, amps) for amps in finals]
+    residuals = [fingerprint_residual(profile(s), _m4_fingerprint()) for s in states]
+    return OptReport(records[best].value, states[best], records[best].grad_norm, best, records,
+                     residuals)

@@ -8,12 +8,11 @@ real nonnegative and every coefficient with a single party excited to level 1
 vanishes at a true fixed point.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, PureState, apply_kept_operator
+from .core import DomainError, PureState, apply_kept_operator, check_count
 
 DEFAULT_RESTARTS = 16
 SWEEP_RESIDUAL_TOL = 1e-10
@@ -210,12 +209,13 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
     earliest start wins ties up to float noise, so a state already in canonical
     form comes back with identity rotations instead of whatever a random
     restart landed on.  ``restarts`` must be an integer in 1..``MAX_RESTARTS``,
-    since every start's vectors are held at once.
+    since every start's vectors are held at once, and ``seed`` a non-negative
+    integer.
     """
-    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral):
-        raise DomainError(f"restarts must be an integer, got {restarts!r}")
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise DomainError(f"restarts must be between 1 and {MAX_RESTARTS}, got {restarts}")
+    check_count("restarts", restarts, 1)
+    if restarts > MAX_RESTARTS:
+        raise DomainError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
+    check_count("seed", seed)
     if abs(s.norm() ** 2 - 1.0) > 1e-8:
         raise DomainError("canonicalize expects a normalized state")
     t = s.tensor()

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, acceptance, ascent, canonical, catalog
 from . import ame as ame_mod
-from .core import DomainError, ShapeError, party_index, state_from_json, state_to_json
+from .core import DomainError, ShapeError, check_count, party_index, state_from_json, state_to_json
 from .entropy import profile
 from .measure import (
     computational_basis,
@@ -50,16 +50,16 @@ def _read_state(path: str):
 
 
 def _resolve_seed(args) -> int:
-    """Explicit --seed wins; otherwise ENTANGLE_SEED; otherwise 0."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ENTANGLE_SEED")
-    if env is not None:
+    """Explicit --seed wins; otherwise ENTANGLE_SEED; otherwise 0.  Seeds are non-negative."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("ENTANGLE_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise DomainError(f"ENTANGLE_SEED must be an integer, got {env!r}") from None
-    return 0
+    check_count("seed", seed)
+    return seed
 
 
 def _matrix_json(u) -> list:
@@ -130,19 +130,17 @@ def _cmd_ame(args):
 
 def _cmd_maximize(args):
     args.seed = _resolve_seed(args)
-    config = ascent.OptConfig(
-        seed=args.seed,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
+    report = ascent.maximize(
+        restarts=args.restarts, seed=args.seed, max_iters=args.max_iters, grad_tol=args.grad_tol
     )
-    report = ascent.maximize(config)
+    rows = zip(report.restarts, report.classifications, report.fingerprint_residuals)
     payload = {
         "best_value": report.best_value,
         "best_grad_norm": report.best_grad_norm,
         "best_restart": report.best_restart,
         "best_state": state_to_json(report.best_state),
-        "restarts": [asdict(r) for r in report.restarts],
+        "restarts": [{**asdict(r), "classification": label, "fingerprint_residual": residual}
+                     for r, label, residual in rows],
     }
     code = 0
     if args.strict and not report.restarts[report.best_restart].converged:

@@ -8,6 +8,7 @@ and hold complex128 data throughout.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,14 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """Input lies outside an operation's domain."""
+
+
+def check_count(name: str, value, minimum: int = 0) -> None:
+    """Reject anything but an integer of at least ``minimum``; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from .core import (
     PureState,
     ShapeError,
     apply_local_unitary,
+    check_count,
     inner,
 )
 from .entropy import pair_entropies
@@ -157,8 +158,8 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
     """
     if s.n_parties != 4:
         raise DomainError(f"robustness_report is defined for four parties, got {s.n_parties}")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    check_count("trials", trials, 1)
+    check_count("seed", seed)
     per_party = {}
     pooled = []
     for p in range(4):

@@ -194,6 +194,7 @@ def test_minimize_validation():
     for dims in ((0, 0, 0, 0), (-2, -2), (1, 1)):
         with pytest.raises(DomainError):
             ame.minimize_deviation(dims)
-    for kwargs in ({"max_iters": 0}, {"grad_tol": 0.0}, {"grad_tol": float("nan")}):
+    for kwargs in ({"max_iters": 0}, {"grad_tol": 0.0}, {"grad_tol": float("nan")},
+                   {"restarts": 2.5}, {"restarts": True}, {"seed": -1}):
         with pytest.raises(DomainError):
             ame.minimize_deviation((2, 2), **kwargs)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from quartet.ascent import (
-    OptConfig,
     ascend,
     avg_entropy_raw,
     entropy_gradient,
@@ -140,18 +139,17 @@ def test_ascend_from_near_optimum_converges():
 
 
 def test_maximize_default_run_reaches_target():
-    report = maximize(OptConfig(seed=0, restarts=6, max_iters=4000))
+    report = maximize(seed=0, restarts=6, max_iters=4000)
     assert abs(report.best_value - TARGET) < 1e-6
     best = report.restarts[report.best_restart]
     assert best.value == report.best_value
-    assert best.classification == "MATCHES_M4_PROFILE"
+    assert report.classifications[report.best_restart] == "MATCHES_M4_PROFILE"
     assert profile(report.best_state).average == pytest.approx(report.best_value, abs=1e-12)
 
 
 def test_maximize_is_reproducible():
-    config = OptConfig(seed=5, restarts=3, max_iters=500)
-    a = maximize(config)
-    b = maximize(config)
+    a = maximize(seed=5, restarts=3, max_iters=500)
+    b = maximize(seed=5, restarts=3, max_iters=500)
     assert a.best_value == b.best_value
     assert a.best_restart == b.best_restart
     for ra, rb in zip(a.restarts, b.restarts):
@@ -162,27 +160,21 @@ def test_maximize_is_reproducible():
 
 
 def test_maximize_explicit_start_prepended():
-    config = OptConfig(seed=0, restarts=1, max_iters=200)
-    report = maximize(config, start=make("M4"))
+    report = maximize(seed=0, restarts=1, max_iters=200, start=make("M4"))
     assert len(report.restarts) == 2
     assert report.restarts[0].iterations == 0
     assert report.restarts[0].converged
     assert report.best_value >= TARGET - 1e-9
 
 
-def test_optconfig_validation():
-    with pytest.raises(DomainError):
-        OptConfig(restarts=0)
-    with pytest.raises(DomainError):
-        OptConfig(max_iters=0)
-    with pytest.raises(DomainError):
-        OptConfig(grad_tol=0.0)
-    with pytest.raises(DomainError):
-        OptConfig(grad_tol=float("nan"))
+def test_maximize_validation():
+    for kwargs in ({"restarts": 0}, {"max_iters": 0}, {"grad_tol": 0.0},
+                   {"grad_tol": float("nan")}, {"restarts": 2.5}, {"restarts": True}):
+        with pytest.raises(DomainError):
+            maximize(**kwargs)
 
 
 def test_classification_separates_other_profiles():
     # a run stopped immediately at a product state keeps the OTHER label
-    config = OptConfig(seed=0, restarts=1, max_iters=1)
-    report = maximize(config, start=PureState(DIMS, np.eye(16)[0]))
-    assert report.restarts[0].classification == "OTHER"
+    report = maximize(seed=0, restarts=1, max_iters=1, start=PureState(DIMS, np.eye(16)[0]))
+    assert report.classifications[0] == "OTHER"

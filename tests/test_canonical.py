@@ -189,6 +189,8 @@ def test_canonicalize_validates_input():
     unnormalized = PureState((2, 2, 2, 2), np.ones(16))
     with pytest.raises(DomainError):
         canonicalize(unnormalized)
+    with pytest.raises(DomainError, match="seed"):
+        canonicalize(make("C4"), seed=-1)
     assert canonicalize(make("C4"), restarts=np.int64(1)).overlap == pytest.approx(0.5)
 
 

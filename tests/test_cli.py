@@ -208,6 +208,37 @@ def test_bad_optimizer_input_is_a_domain_error(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+RECORD_KEYS = {"restart", "value", "grad_norm", "iterations", "converged", "stop_reason"}
+
+
+def test_optimizer_restarts_report_stop_reasons(capsys):
+    flags = ["--restarts", "2", "--seed", "0", "--max-iters", "40"]
+    _, low, _ = run_cli(capsys, ["ame", *flags])
+    _, high, _ = run_cli(capsys, ["maximize", *flags])
+    assert [set(r) for r in low["restarts"]] == [RECORD_KEYS] * 2
+    assert [set(r) for r in high["restarts"]] == [
+        RECORD_KEYS | {"classification", "fingerprint_residual"}] * 2
+    for record in low["restarts"] + high["restarts"]:
+        assert record["converged"] == (record["stop_reason"] == "converged")
+
+
+@pytest.mark.parametrize("argv, env_seed", [
+    (["ame", "--dims=2,2", "--seed", "-1"], None),
+    (["maximize", "--seed", "-1"], None),
+    (["canonicalize", "STATE", "--seed", "-1"], None),
+    (["robustness", "STATE", "--seed", "-1"], None),
+    (["measure", "STATE", "--party", "A", "--basis", "random", "--seed", "-1"], None),
+    (["measure", "STATE", "--party", "A", "--basis", "random"], "-3"),
+], ids=["ame", "maximize", "canonicalize", "robustness", "measure", "ENTANGLE_SEED"])
+def test_negative_seed_is_a_domain_error(tmp_path, capsys, monkeypatch, argv, env_seed):
+    path = write_state(tmp_path, "M4")
+    if env_seed is not None:
+        monkeypatch.setenv("ENTANGLE_SEED", env_seed)
+    code, payload, err = run_cli(capsys, [path if a == "STATE" else a for a in argv])
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+
 def test_stationarity_of_m4(tmp_path, capsys):
     path = write_state(tmp_path, "M4")
     code, payload, _ = run_cli(capsys, ["stationarity", path])

@@ -207,3 +207,5 @@ def test_robustness_report_validation():
         robustness_report(catalog.make("C3"), trials=1)
     with pytest.raises(DomainError):
         robustness_report(catalog.make("M4"), trials=0)
+    with pytest.raises(DomainError):
+        robustness_report(catalog.make("M4"), trials=1, seed=-1)
