@@ -31,20 +31,21 @@ def unitary_from_first_column(v) -> np.ndarray:
     Remaining columns come from Gram-Schmidt over the computational basis,
     skipping the basis vector with the largest overlap against ``v`` (first
     index wins ties), so the completion is deterministic and well conditioned.
+    A stack ``(..., d)`` of vectors gives the stack ``(..., d, d)`` of unitaries.
     """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = v.size
-    cols = [v / np.linalg.norm(v)]
-    skip = int(np.argmax(np.abs(v)))
-    for j in range(d):
-        if j == skip:
-            continue
-        w = np.zeros(d, dtype=complex)
-        w[j] = 1.0
+    v = np.asarray(v, dtype=complex)
+    d = v.shape[-1]
+    cols = [v / np.linalg.norm(v, axis=-1, keepdims=True)]
+    skip = np.argmax(np.abs(v), axis=-1)
+    # Basis indices in ascending order, each row's skipped index moved last.
+    order = np.argsort(np.arange(d) == skip[..., None], axis=-1, kind="stable")
+    eye = np.eye(d, dtype=complex)
+    for j in range(d - 1):
+        w = eye[order[..., j]]
         for c in cols:
-            w -= np.vdot(c, w) * c
-        cols.append(w / np.linalg.norm(w))
-    return np.stack(cols, axis=1)
+            w = w - np.sum(c.conj() * w, axis=-1, keepdims=True) * c
+        cols.append(w / np.linalg.norm(w, axis=-1, keepdims=True))
+    return np.stack(cols, axis=-1)
 
 
 def _contract_rows(front: np.ndarray, vectors, party: int) -> np.ndarray:

@@ -190,14 +190,18 @@ def _cut_indices(dims: tuple, rows: tuple) -> tuple:
 
 
 def pair_cuts(amps: np.ndarray, dims: tuple, rows: tuple) -> tuple:
-    """Stacked cut matrices m (C, D, K) and row reductions rho = m m^dagger of every cut.
+    """Stacked cut matrices m (..., C, D, K) and row reductions rho = m m^dagger
+    (..., C, D, D) of every cut of every state in ``amps`` shaped (..., R).
 
     Cut c has the parties ``rows[c]`` on its rows and the rest on its columns,
-    each in row-major order; every cut must give the same (D, K).
+    each in row-major order; every cut must give the same (D, K).  Each state
+    of a stack gets bitwise the matrices a call on that state alone gives.
     """
     gather, _ = _cut_indices(tuple(dims), rows)
-    m = np.asarray(amps, dtype=complex)[gather]
-    return m, m @ m.conj().transpose(0, 2, 1)
+    amps = np.asarray(amps, dtype=complex)
+    # A lone state takes numpy's fast path for one index array; "..." costs more.
+    m = amps[gather] if amps.ndim == 1 else amps[..., gather]
+    return m, m @ m.conj().swapaxes(-1, -2)
 
 
 def scatter_cuts(g: np.ndarray, dims: tuple, rows: tuple) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Pair entanglement entropies and the sorted-profile fingerprint built from them."""
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,25 +51,49 @@ def entropy(m: DensityMatrix) -> float:
     return float(eigenvalue_entropy(np.linalg.eigvalsh(np.asarray(m.entries))))
 
 
-def pair_entropies(s: PureState) -> dict:
-    """Entropies of every two-party reduction, keyed by letter pairs AB, AC, ...
+@functools.lru_cache(maxsize=None)
+def _pair_sides(dims: tuple) -> tuple:
+    """Groups ``(pair indices, sides)`` of the pairs of ``dims`` whose reductions
+    have equal size, pairs numbered in ``itertools.combinations`` order.
 
-    Pairs whose reductions have the same size share one ``pair_cuts`` gather
-    and one batched ``eigvalsh``; equal local dimensions make a single group.
+    A pure state's pair entropy equals the entropy of the pair's complement, so
+    each pair is read from the side of its cut with fewer parties, the pair
+    itself on a tie: a single party for three parties, the pair from four up.
     """
-    if s.n_parties < 3:
-        raise DomainError("pair entropies need at least three parties")
-    if abs(s.norm() ** 2 - 1.0) > TRACE_TOL:
-        raise DomainError(f"squared norm deviates from 1 by more than {TRACE_TOL}")
-    pairs = list(itertools.combinations(range(s.n_parties), 2))
+    n = len(dims)
     groups = {}
-    for a, b in pairs:
-        groups.setdefault(s.dims[a] * s.dims[b], []).append((a, b))
-    values = {}
-    for rows in groups.values():
-        _, rho = pair_cuts(s.amps, s.dims, tuple(rows))
-        values.update(zip(rows, eigenvalue_entropy(np.linalg.eigvalsh(rho)).tolist()))
-    return {PARTY_LETTERS[a] + PARTY_LETTERS[b]: values[a, b] for a, b in pairs}
+    for i, pair in enumerate(itertools.combinations(range(n), 2)):
+        rest = tuple(q for q in range(n) if q not in pair)
+        side = rest if len(rest) < len(pair) else pair
+        groups.setdefault(math.prod(dims[q] for q in side), []).append((i, side))
+    return tuple((tuple(i for i, _ in rows), tuple(side for _, side in rows))
+                 for rows in groups.values())
+
+
+def stacked_pair_entropies(amps, dims) -> np.ndarray:
+    """Pair entropies ``(..., P)`` of every pure state in ``amps`` shaped ``(..., R)``.
+
+    Pairs run in ``itertools.combinations`` order.  Sides of equal size share
+    one ``pair_cuts`` gather and one batched ``eigvalsh`` over the whole stack.
+    """
+    dims = tuple(dims)
+    if len(dims) < 3:
+        raise DomainError("pair entropies need at least three parties")
+    amps = np.asarray(amps, dtype=complex)
+    if np.any(np.abs(np.linalg.norm(amps, axis=-1) ** 2 - 1.0) > TRACE_TOL):
+        raise DomainError(f"squared norm deviates from 1 by more than {TRACE_TOL}")
+    out = np.empty(amps.shape[:-1] + (math.comb(len(dims), 2),))
+    for index, sides in _pair_sides(dims):
+        _, rho = pair_cuts(amps, dims, sides)
+        out[..., index] = eigenvalue_entropy(np.linalg.eigvalsh(rho))
+    return out
+
+
+def pair_entropies(s: PureState) -> dict:
+    """Entropies of every two-party reduction, keyed by letter pairs AB, AC, ..."""
+    pairs = itertools.combinations(range(s.n_parties), 2)
+    values = stacked_pair_entropies(s.amps, s.dims).tolist()
+    return {PARTY_LETTERS[a] + PARTY_LETTERS[b]: v for (a, b), v in zip(pairs, values)}
 
 
 @dataclass(frozen=True)

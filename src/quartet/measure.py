@@ -6,6 +6,7 @@ the renormalized remainder is the residual state on the other parties, with
 their original order preserved.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +21,22 @@ from .core import (
     check_count,
     inner,
 )
-from .entropy import pair_entropies
+from .entropy import TRACE_TOL, pair_entropies, stacked_pair_entropies
 
 PROB_FLOOR = 1e-14
 ORTHO_TOL = 1e-10
 FRAGILE_TOL = 1e-10
+# Every basis of a party is measured at once, so the trial count is bounded.
+MAX_TRIALS = 4096
+_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+
+
+def _check_orthonormal(vectors: np.ndarray) -> None:
+    """Reject any basis in a stack ``(..., d, d)`` whose rows are not orthonormal."""
+    gram = vectors @ vectors.conj().swapaxes(-1, -2)
+    # Written so that a NaN entry fails the test too.
+    if not np.max(np.abs(gram - np.eye(vectors.shape[-1]))) < ORTHO_TOL:
+        raise DomainError("basis vectors are not orthonormal within tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +50,7 @@ class MeasurementBasis:
         vectors = np.array(self.vectors, dtype=complex)
         if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
             raise ShapeError(f"basis must be square, got shape {vectors.shape}")
-        gram = vectors @ vectors.conj().T
-        if np.max(np.abs(gram - np.eye(vectors.shape[0]))) >= ORTHO_TOL:
-            raise DomainError("basis vectors are not orthonormal within tolerance")
+        _check_orthonormal(vectors)
         vectors.setflags(write=False)
         object.__setattr__(self, "party", int(self.party))
         object.__setattr__(self, "vectors", vectors)
@@ -55,15 +65,18 @@ def computational_basis(party: int, dim: int = 2) -> MeasurementBasis:
 
 
 def plus_minus_basis(party: int) -> MeasurementBasis:
-    r = 1.0 / np.sqrt(2.0)
-    return MeasurementBasis(party, np.array([[r, r], [r, -r]], dtype=complex))
+    return MeasurementBasis(party, _PLUS_MINUS)
+
+
+def _gaussian_vector(dim: int, rng) -> np.ndarray:
+    """Standard complex Gaussian draws: ``dim`` real parts, then ``dim`` imaginary parts."""
+    x = rng.standard_normal(2 * dim)
+    return x[:dim] + 1j * x[dim:]
 
 
 def random_basis(party: int, dim: int, rng) -> MeasurementBasis:
     """First vector Haar-uniform on the local sphere, completed deterministically."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    u = unitary_from_first_column(z / np.linalg.norm(z))
-    return MeasurementBasis(party, u.T)
+    return MeasurementBasis(party, unitary_from_first_column(_gaussian_vector(dim, rng)).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,24 +89,36 @@ class MeasurementOutcome:
     residual: PureState
 
 
-def measure(s: PureState, basis: MeasurementBasis) -> list:
-    """All outcomes of measuring one party, with Born probabilities summing to 1."""
-    p = basis.party
-    if p < 0 or p >= s.n_parties:
-        raise DomainError(f"party {p} out of range")
+def _branches(s: PureState, party: int, vectors: np.ndarray) -> tuple:
+    """Measure ``party`` in every basis of the stack ``vectors`` (B, d, d) at once.
+
+    Returns the Born probabilities (B, d), the residual amplitudes (B, d, R) and
+    the mask (B, d) of branches whose probability reaches ``PROB_FLOOR``; only
+    those are renormalized, and only they have a residual state.
+    """
+    if party < 0 or party >= s.n_parties:
+        raise DomainError(f"party {party} out of range")
     if s.n_parties < 2:
         raise DomainError("measurement needs at least two parties")
-    if basis.dim != s.dims[p]:
-        raise ShapeError(f"basis dimension {basis.dim} does not match party dimension {s.dims[p]}")
-    t = s.tensor()
-    rest = tuple(d for q, d in enumerate(s.dims) if q != p)
-    outcomes = []
-    for k in range(basis.dim):
-        w = np.tensordot(basis.vectors[k].conj(), t, axes=([0], [p])).reshape(-1)
-        prob = float(np.linalg.norm(w) ** 2)
-        residual = PureState(rest, w / np.sqrt(prob)) if prob >= PROB_FLOOR else None
-        outcomes.append(MeasurementOutcome(k, prob, residual))
-    return outcomes
+    if vectors.shape[-1] != s.dims[party]:
+        raise ShapeError(f"basis dimension {vectors.shape[-1]} does not match party "
+                         f"dimension {s.dims[party]}")
+    if abs(s.norm() ** 2 - 1.0) > TRACE_TOL:
+        raise DomainError(f"squared norm deviates from 1 by more than {TRACE_TOL}")
+    w = np.tensordot(vectors.conj(), s.tensor(), axes=([2], [party]))
+    w = w.reshape(vectors.shape[:2] + (-1,))
+    probs = np.linalg.norm(w, axis=-1) ** 2
+    defined = probs >= PROB_FLOOR
+    w[defined] /= np.sqrt(probs[defined])[:, None]
+    return probs, w, defined
+
+
+def measure(s: PureState, basis: MeasurementBasis) -> list:
+    """All outcomes of measuring one party, with Born probabilities summing to 1."""
+    probs, w, defined = _branches(s, basis.party, basis.vectors[None])
+    rest = tuple(d for q, d in enumerate(s.dims) if q != basis.party)
+    return [MeasurementOutcome(k, prob, PureState(rest, amps) if ok else None)
+            for k, (prob, amps, ok) in enumerate(zip(probs[0].tolist(), w[0], defined[0]))]
 
 
 def residual_pair_entropies(residual: PureState, measured_party: int, n_parties: int) -> dict:
@@ -132,20 +157,24 @@ def equivariance_overlap(s: PureState, party: int, u) -> float:
     return float(min(overlaps))
 
 
-def _basis_row(state, basis, measured_party):
-    entries = []
-    defined_entropies = []
-    for outcome in measure(state, basis):
-        row = {"outcome": outcome.index, "probability": outcome.probability}
-        if outcome.residual is None:
-            row["undefined"] = True
-        else:
-            ent = residual_pair_entropies(outcome.residual, measured_party, state.n_parties)
-            row["entropies"] = ent
-            defined_entropies.extend(ent.values())
-        entries.append(row)
-    fragile = bool(defined_entropies) and all(e < FRAGILE_TOL for e in defined_entropies)
-    return {"fragile": fragile, "outcomes": entries}, defined_entropies
+def _party_bases(party: int, d: int, trials: int, seed: int) -> np.ndarray:
+    """The bases a robustness report measures ``party`` in, stacked (B, d, d): the
+    computational basis, |+>/|-> for a qubit, then one random basis per trial.
+
+    Trial t draws its first vector from ``default_rng([seed, party, t])``, so it is
+    bitwise ``random_basis(party, d, default_rng([seed, party, t]))``.
+    """
+    first = np.stack([_gaussian_vector(d, np.random.default_rng([seed, party, t]))
+                      for t in range(trials)])
+    named = [np.eye(d, dtype=complex)] + ([_PLUS_MINUS] if d == 2 else [])
+    bases = np.concatenate([named, unitary_from_first_column(first).swapaxes(-1, -2)])
+    _check_orthonormal(bases)
+    return bases
+
+
+def _stats(values) -> dict:
+    return {"min": float(np.min(values)), "max": float(np.max(values)),
+            "mean": float(np.mean(values))}
 
 
 def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
@@ -154,50 +183,49 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
     For every party this evaluates the computational basis, the |+>/|-> basis,
     and ``trials`` Haar-random bases (sub-seeded per party and trial).  Random
     bases contribute min/max/mean statistics per remaining pair; each basis also
-    carries a fragility flag (every residual entropy below 1e-10).
+    carries a fragility flag (every residual entropy below 1e-10).  All bases of
+    a party are measured in one contraction, and every residual of the party is
+    read with one batched ``stacked_pair_entropies`` call, so ``trials`` must be
+    an integer in 1..``MAX_TRIALS``.
     """
     if s.n_parties != 4:
         raise DomainError(f"robustness_report is defined for four parties, got {s.n_parties}")
     check_count("trials", trials, 1)
+    if trials > MAX_TRIALS:
+        raise DomainError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     check_count("seed", seed)
     per_party = {}
     pooled = []
     for p in range(4):
-        letter = PARTY_LETTERS[p]
-        d = s.dims[p]
-        comp_row, _ = _basis_row(s, computational_basis(p, d), p)
-        entry = {"computational": comp_row}
-        if d == 2:
-            pm_row, _ = _basis_row(s, plus_minus_basis(p), p)
-            entry["plusminus"] = pm_row
-        samples = {}
-        fragile_trials = []
-        for trial in range(trials):
-            rng = np.random.default_rng([seed, p, trial])
-            row, values = _basis_row(s, random_basis(p, d, rng), p)
-            if row["fragile"]:
-                fragile_trials.append(trial)
-            for outcome in row["outcomes"]:
-                for pair, value in outcome.get("entropies", {}).items():
-                    samples.setdefault(pair, []).append(value)
-            pooled.extend(values)
+        remaining = [PARTY_LETTERS[q] for q in range(4) if q != p]
+        pairs = [a + b for a, b in itertools.combinations(remaining, 2)]
+        rest = tuple(d for q, d in enumerate(s.dims) if q != p)
+        probs, w, defined = _branches(s, p, _party_bases(p, s.dims[p], trials, seed))
+        ents = np.zeros(defined.shape + (len(pairs),))
+        ents[defined] = stacked_pair_entropies(w[defined], rest)
+        # Undefined branches keep zero entropies; they cannot decide fragility,
+        # because every basis of a normalized state has a defined branch.
+        fragile = np.all(ents < FRAGILE_TOL, axis=(1, 2)).tolist()
+        n_named = len(fragile) - trials
+        entry = {}
+        for name, b_probs, b_ents, b_defined, b_fragile in zip(
+                ("computational", "plusminus"), probs[:n_named].tolist(),
+                ents[:n_named].tolist(), defined[:n_named].tolist(), fragile):
+            outcomes = []
+            for k, (prob, values, ok) in enumerate(zip(b_probs, b_ents, b_defined)):
+                row = {"outcome": k, "probability": prob}
+                if ok:
+                    row["entropies"] = dict(zip(pairs, values))
+                else:
+                    row["undefined"] = True
+                outcomes.append(row)
+            entry[name] = {"fragile": b_fragile, "outcomes": outcomes}
+        random = ents[n_named:][defined[n_named:]]
+        pooled.append(random.reshape(-1))
         entry["random"] = {
-            "pairs": {
-                pair: {
-                    "min": float(np.min(vals)),
-                    "max": float(np.max(vals)),
-                    "mean": float(np.mean(vals)),
-                }
-                for pair, vals in sorted(samples.items())
-            },
-            "fragile_trials": fragile_trials,
+            "pairs": {pair: _stats(random[:, i]) for i, pair in enumerate(pairs)},
+            "fragile_trials": [t for t in range(trials) if fragile[n_named + t]],
         }
-        per_party[letter] = entry
-    report = {"trials": trials, "seed": seed, "per_party": per_party}
-    if pooled:
-        report["overall"] = {
-            "min": float(np.min(pooled)),
-            "max": float(np.max(pooled)),
-            "mean": float(np.mean(pooled)),
-        }
-    return report
+        per_party[PARTY_LETTERS[p]] = entry
+    return {"trials": trials, "seed": seed, "per_party": per_party,
+            "overall": _stats(np.concatenate(pooled))}

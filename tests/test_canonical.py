@@ -40,6 +40,17 @@ def test_unitary_from_first_column_properties():
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
 
 
+def test_unitary_completion_of_a_stack_is_bitwise_row_by_row():
+    rng = np.random.default_rng(2)
+    for d in (2, 3, 4):
+        z = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+        z[0] = np.eye(d)[d - 1]
+        stacked = unitary_from_first_column(z)
+        assert stacked.shape == (6, d, d)
+        for v, u in zip(z, stacked):
+            assert np.array_equal(u, unitary_from_first_column(v))
+
+
 def test_unitary_completion_is_deterministic():
     v = np.array([0.6, 0.8j])
     assert np.array_equal(

@@ -16,6 +16,7 @@ from quartet.core import (
 )
 from quartet.entropy import fingerprint_match, pair_entropies
 from quartet.measure import (
+    MAX_TRIALS,
     MeasurementBasis,
     computational_basis,
     equivariance_overlap,
@@ -33,6 +34,8 @@ def test_basis_validation():
     MeasurementBasis(0, np.eye(3))
     with pytest.raises(DomainError):
         MeasurementBasis(0, np.array([[1.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(DomainError):
+        MeasurementBasis(0, np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ShapeError):
         MeasurementBasis(0, np.zeros((2, 3)))
     b = computational_basis(1)
@@ -207,5 +210,7 @@ def test_robustness_report_validation():
         robustness_report(catalog.make("C3"), trials=1)
     with pytest.raises(DomainError):
         robustness_report(catalog.make("M4"), trials=0)
+    with pytest.raises(DomainError):
+        robustness_report(catalog.make("M4"), trials=MAX_TRIALS + 1)
     with pytest.raises(DomainError):
         robustness_report(catalog.make("M4"), trials=1, seed=-1)

@@ -109,6 +109,20 @@ def test_cut_spectra_equal_both_complementary_pair_spectra(dims):
             assert np.max(np.abs(lam - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("dims, rows", [((2, 2, 2, 2), FOUR_PARTY_CUT_ROWS),
+                                         ((4, 4, 4, 4), FOUR_PARTY_CUT_ROWS),
+                                         ((2, 3, 4), ((2,),)),
+                                         ((2, 2, 2), ((2,), (1,), (0,)))], ids=str)
+def test_a_stack_of_states_gives_each_single_call_bitwise(dims, rows):
+    stack = np.stack([sample_amps(dims, k) for k in range(4)])
+    m, rho = pair_cuts(stack, dims, rows)
+    for amps, m_k, rho_k in zip(stack, m, rho):
+        single_m, single_rho = pair_cuts(amps, dims, rows)
+        assert np.array_equal(m_k, single_m) and np.array_equal(rho_k, single_rho)
+    m2, rho2 = pair_cuts(stack.reshape(2, 2, -1), dims, rows)
+    assert np.array_equal(m2.reshape(m.shape), m) and np.array_equal(rho2.reshape(rho.shape), rho)
+
+
 def test_scatter_is_the_adjoint_of_the_gather():
     rng = np.random.default_rng(43)
     dims = (3, 3, 3, 3)

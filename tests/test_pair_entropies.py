@@ -11,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 from quartet import catalog
 from quartet.core import PARTY_LETTERS, DomainError, PureState, partial_trace, random_state
 from quartet.entropy import entropy, pair_entropies, profile
-from quartet.measure import computational_basis, measure, random_basis, residual_pair_entropies
+from quartet.measure import (
+    computational_basis,
+    measure,
+    random_basis,
+    residual_pair_entropies,
+    robustness_report,
+)
 
 MAX_AMPS = 256
 
@@ -55,11 +61,18 @@ def test_profile_makes_one_eigvalsh_call(eigvalsh_calls):
 
 
 def test_residual_pair_entropies_make_one_eigvalsh_call_per_residual(eigvalsh_calls):
+    # A three-party residual reads each pair from its single-party complement.
     s = random_state((2, 2, 2, 2), np.random.default_rng(71))
     outcomes = measure(s, random_basis(2, 2, np.random.default_rng(72)))
     for outcome in outcomes:
         residual_pair_entropies(outcome.residual, 2, 4)
-    assert eigvalsh_calls == [(3, 4, 4)] * len(outcomes)
+    assert eigvalsh_calls == [(3, 2, 2)] * len(outcomes)
+
+
+def test_robustness_report_makes_one_eigvalsh_call_per_party(eigvalsh_calls):
+    # Per party: 10 bases of 2 outcomes, every residual in one stacked call.
+    robustness_report(random_state((2, 2, 2, 2), np.random.default_rng(73)), trials=8)
+    assert eigvalsh_calls == [(20, 3, 2, 2)] * 4
 
 
 def test_residual_without_a_proper_pair_reports_no_entropies():
