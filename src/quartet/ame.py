@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ascent import multistart
-from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, pair_cuts, scatter_cuts
+from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, check_normalized, pair_cuts, scatter_cuts
 
 CUTS = ("AB_CD", "AC_BD", "AD_BC")
 # Cut labels and row parties, by number of parties.
@@ -76,8 +76,10 @@ class AmeDeviation:
 
 
 def ame_deviation(s: PureState) -> AmeDeviation:
-    """Per-cut and total distance of the pair reductions from maximal mixing."""
-    per_cut = _per_cut(s.amps, _check_equal_dims(s.dims, 4))
+    """Per-cut and total distance of a normalized state's pair reductions from maximal mixing."""
+    _check_equal_dims(s.dims, 4)
+    check_normalized(s.amps)
+    per_cut = _per_cut(s.amps, s.dims)
     return AmeDeviation(per_cut, math.fsum(per_cut.values()))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import catalog
 from .entropy import FINGERPRINT_TOL, eigenvalue_entropy, fingerprint_residual, profile
 from .core import (FOUR_PARTY_CUT_ROWS, DomainError, PureState, ShapeError, check_count,
-                   pair_cuts, random_state, scatter_cuts)
+                   check_normalized, pair_cuts, random_state, scatter_cuts)
 
 SPECTRAL_FLOOR = 1e-12  # eigenvalue clamp inside the gradient's logarithm
 # Line search: first trial step, backtracking factor, smallest step, Armijo coefficient.
@@ -29,11 +29,10 @@ _INV_LN2 = 1.0 / math.log(2.0)
 FOUR_QUBITS = (2, 2, 2, 2)
 
 
-def _check_state(s: PureState, caller: str):
+def _check_state(s: PureState):
     if s.dims != FOUR_QUBITS:
         raise DomainError(f"expected four qubits, got dims {s.dims}")
-    if abs(s.norm() ** 2 - 1.0) > 1e-8:
-        raise DomainError(f"{caller} expects a normalized state")
+    check_normalized(s.amps)
 
 
 def _mean_pair_entropy(lam: np.ndarray) -> float:
@@ -71,7 +70,7 @@ def entropy_gradient(s: PureState) -> PureState:
     The Euclidean gradient is projected via g -> g - Re<s|g> s; the phase
     direction carries no gradient because the objective is phase invariant.
     """
-    _check_state(s, "entropy_gradient")
+    _check_state(s)
     _, g = value_and_gradient_raw(s.amps, s.dims)
     g = g - np.real(np.vdot(s.amps, g)) * s.amps
     return PureState(s.dims, g)
@@ -79,7 +78,7 @@ def entropy_gradient(s: PureState) -> PureState:
 
 def stationarity_report(s: PureState) -> dict:
     """Value, tangent gradient norm, and radial coefficient Re<s|g> at ``s``."""
-    _check_state(s, "stationarity_report")
+    _check_state(s)
     value, g = value_and_gradient_raw(s.amps, s.dims)
     radial = float(np.real(np.vdot(s.amps, g)))
     tangent = g - radial * s.amps

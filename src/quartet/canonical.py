@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, PureState, apply_kept_operator, check_count
+from .core import DomainError, PureState, apply_kept_operator, check_count, check_normalized
 
 DEFAULT_RESTARTS = 16
 SWEEP_RESIDUAL_TOL = 1e-10
@@ -217,8 +217,7 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
     if restarts > MAX_RESTARTS:
         raise DomainError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
     check_count("seed", seed)
-    if abs(s.norm() ** 2 - 1.0) > 1e-8:
-        raise DomainError("canonicalize expects a normalized state")
+    check_normalized(s.amps)
     t = s.tensor()
     dims = s.dims
     n = s.n_parties

@@ -44,7 +44,7 @@ def _read_state(path: str):
                 payload = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read state file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge integers, deep nesting
         raise DomainError(f"state file {path!r} is not valid JSON: {exc}") from exc
     return state_from_json(payload)
 

@@ -16,6 +16,7 @@ import numpy as np
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
+UNIT_NORM_TOL = 1e-8
 MAX_PARTIES = 8
 PARTY_LETTERS = "ABCDEFGH"
 # Row pairs of the three pair cuts AB|CD, AC|BD, AD|BC of a four-party state.
@@ -36,6 +37,12 @@ def check_count(name: str, value, minimum: int = 0) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_normalized(amps) -> None:
+    """Reject amplitudes ``(..., R)`` with a squared norm off 1 by more than UNIT_NORM_TOL, or NaN."""
+    if not np.all(np.abs(np.linalg.norm(amps, axis=-1) ** 2 - 1.0) <= UNIT_NORM_TOL):
+        raise DomainError(f"squared norm deviates from 1 by more than {UNIT_NORM_TOL}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -327,6 +334,6 @@ def state_from_json(obj) -> PureState:
             raise DomainError(f'"amps"[{i}] is not an [re, im] pair')
         try:
             flat[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f'"amps"[{i}] is not numeric') from exc
     return PureState(tuple(dims), flat)

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, DomainError, PARTY_LETTERS, PureState, pair_cuts
+from .core import (UNIT_NORM_TOL, DensityMatrix, DomainError, PARTY_LETTERS, PureState,
+                   check_normalized, pair_cuts)
 
 PAIRS = ("AB", "AC", "AD", "BC", "BD", "CD")
-TRACE_TOL = 1e-8
 EIG_FLOOR = 1e-15
 FINGERPRINT_TOL = 1e-7
 
@@ -46,8 +46,8 @@ def eigenvalue_entropy(lam):
 
 def entropy(m: DensityMatrix) -> float:
     """Von Neumann entropy -tr(m log2 m) of a unit-trace density matrix."""
-    if abs(m.trace() - 1.0) > TRACE_TOL:
-        raise DomainError(f"trace deviates from 1 by more than {TRACE_TOL}")
+    if abs(m.trace() - 1.0) > UNIT_NORM_TOL:
+        raise DomainError(f"trace deviates from 1 by more than {UNIT_NORM_TOL}")
     return float(eigenvalue_entropy(np.linalg.eigvalsh(np.asarray(m.entries))))
 
 
@@ -80,8 +80,7 @@ def stacked_pair_entropies(amps, dims) -> np.ndarray:
     if len(dims) < 3:
         raise DomainError("pair entropies need at least three parties")
     amps = np.asarray(amps, dtype=complex)
-    if np.any(np.abs(np.linalg.norm(amps, axis=-1) ** 2 - 1.0) > TRACE_TOL):
-        raise DomainError(f"squared norm deviates from 1 by more than {TRACE_TOL}")
+    check_normalized(amps)
     out = np.empty(amps.shape[:-1] + (math.comb(len(dims), 2),))
     for index, sides in _pair_sides(dims):
         _, rho = pair_cuts(amps, dims, sides)

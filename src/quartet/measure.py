@@ -12,16 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import unitary_from_first_column
-from .core import (
-    DomainError,
-    PARTY_LETTERS,
-    PureState,
-    ShapeError,
-    apply_local_unitary,
-    check_count,
-    inner,
-)
-from .entropy import TRACE_TOL, pair_entropies, stacked_pair_entropies
+from .core import DomainError, PARTY_LETTERS, PureState, ShapeError, check_count, check_normalized
+from .entropy import stacked_pair_entropies
 
 PROB_FLOOR = 1e-14
 ORTHO_TOL = 1e-10
@@ -68,15 +60,16 @@ def plus_minus_basis(party: int) -> MeasurementBasis:
     return MeasurementBasis(party, _PLUS_MINUS)
 
 
-def _gaussian_vector(dim: int, rng) -> np.ndarray:
-    """Standard complex Gaussian draws: ``dim`` real parts, then ``dim`` imaginary parts."""
-    x = rng.standard_normal(2 * dim)
-    return x[:dim] + 1j * x[dim:]
+def _gaussian_bases(normals: np.ndarray) -> np.ndarray:
+    """Bases ``(..., d, d)`` from normals ``(..., 2d)``: the first vector has the first d
+    draws as real and the last d as imaginary parts, completed deterministically."""
+    d = normals.shape[-1] // 2
+    return unitary_from_first_column(normals[..., :d] + 1j * normals[..., d:]).swapaxes(-1, -2)
 
 
 def random_basis(party: int, dim: int, rng) -> MeasurementBasis:
     """First vector Haar-uniform on the local sphere, completed deterministically."""
-    return MeasurementBasis(party, unitary_from_first_column(_gaussian_vector(dim, rng)).T)
+    return MeasurementBasis(party, _gaussian_bases(rng.standard_normal(2 * dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +96,7 @@ def _branches(s: PureState, party: int, vectors: np.ndarray) -> tuple:
     if vectors.shape[-1] != s.dims[party]:
         raise ShapeError(f"basis dimension {vectors.shape[-1]} does not match party "
                          f"dimension {s.dims[party]}")
-    if abs(s.norm() ** 2 - 1.0) > TRACE_TOL:
-        raise DomainError(f"squared norm deviates from 1 by more than {TRACE_TOL}")
+    check_normalized(s.amps)
     w = np.tensordot(vectors.conj(), s.tensor(), axes=([2], [party]))
     w = w.reshape(vectors.shape[:2] + (-1,))
     probs = np.linalg.norm(w, axis=-1) ** 2
@@ -121,53 +113,60 @@ def measure(s: PureState, basis: MeasurementBasis) -> list:
             for k, (prob, amps, ok) in enumerate(zip(probs[0].tolist(), w[0], defined[0]))]
 
 
+def _residual_pairs(party: int, n_parties: int) -> tuple:
+    """Letters of the parties left after measuring ``party``, and their pairs in
+    ``itertools.combinations`` order: the keys of a residual's pair entropies."""
+    remaining = [PARTY_LETTERS[q] for q in range(n_parties) if q != party]
+    return remaining, [a + b for a, b in itertools.combinations(remaining, 2)]
+
+
 def residual_pair_entropies(residual: PureState, measured_party: int, n_parties: int) -> dict:
     """Pair entropies of a residual keyed by the original letters; {} below three parties."""
-    remaining = "".join(PARTY_LETTERS[q] for q in range(n_parties) if q != measured_party)
+    remaining, pairs = _residual_pairs(measured_party, n_parties)
     if len(remaining) != residual.n_parties:
         raise DomainError(f"residual has {residual.n_parties} parties, expected {len(remaining)}")
     if residual.n_parties < 3:
         return {}
-    relabel = str.maketrans(PARTY_LETTERS[: len(remaining)], remaining)
-    return {key.translate(relabel): v for key, v in pair_entropies(residual).items()}
+    return dict(zip(pairs, stacked_pair_entropies(residual.amps, residual.dims).tolist()))
 
 
 def equivariance_overlap(s: PureState, party: int, u) -> float:
     """Smallest overlap modulus between rotated-basis residuals and the
-    locally rotated computational residuals.
+    locally rotated computational residuals, both bases measured in one call.
 
     For a state invariant (up to phase) under u applied to every party, each
     outcome of the basis {u|k>} leaves a residual equal, up to phase, to u
     applied on every unmeasured party of the computational outcome's residual.
     Returns 1.0 exactly in that case, up to round-off.
     """
-    u = np.asarray(u, dtype=complex)
-    rotated = measure(s, MeasurementBasis(party, u.T))
-    plain = measure(s, computational_basis(party, s.dims[party]))
-    overlaps = []
-    for rot, comp in zip(rotated, plain):
-        if rot.residual is None or comp.residual is None:
-            continue
-        carried = comp.residual
-        for q in range(carried.n_parties):
-            carried = apply_local_unitary(carried, q, u)
-        overlaps.append(abs(inner(rot.residual, carried)))
-    if not overlaps:
+    basis = MeasurementBasis(party, np.asarray(u, dtype=complex).T)
+    d = basis.dim
+    _, w, defined = _branches(s, party, np.stack([basis.vectors, np.eye(d)]))
+    rest = [e for q, e in enumerate(s.dims) if q != party]
+    if any(e != d for e in rest):
+        raise ShapeError(f"a {d}x{d} unitary does not fit the unmeasured dims {rest}")
+    # u acts on the leading unmeasured axis, which then cycles to the back.
+    carried = w[1]
+    for _ in rest:
+        carried = (basis.vectors.T @ carried.reshape(d, d, -1)).swapaxes(1, 2).reshape(d, -1)
+    both = defined[0] & defined[1]
+    if not np.any(both):
         raise DomainError("no outcome has probability above the floor")
-    return float(min(overlaps))
+    return float(np.min(np.abs(np.sum(w[0].conj() * carried, axis=-1))[both]))
 
 
 def _party_bases(party: int, d: int, trials: int, seed: int) -> np.ndarray:
     """The bases a robustness report measures ``party`` in, stacked (B, d, d): the
     computational basis, |+>/|-> for a qubit, then one random basis per trial.
 
-    Trial t draws its first vector from ``default_rng([seed, party, t])``, so it is
-    bitwise ``random_basis(party, d, default_rng([seed, party, t]))``.
+    Trial t reads row t of one ``default_rng([seed, party])`` draw of shape
+    (trials, 2d), which is bitwise the t-th of successive ``random_basis`` calls
+    on that generator; so trial t does not depend on ``trials``, and trial 0 is
+    the basis ``quartet measure --basis random`` uses.
     """
-    first = np.stack([_gaussian_vector(d, np.random.default_rng([seed, party, t]))
-                      for t in range(trials)])
+    normals = np.random.default_rng([seed, party]).standard_normal((trials, 2 * d))
     named = [np.eye(d, dtype=complex)] + ([_PLUS_MINUS] if d == 2 else [])
-    bases = np.concatenate([named, unitary_from_first_column(first).swapaxes(-1, -2)])
+    bases = np.concatenate([named, _gaussian_bases(normals)])
     _check_orthonormal(bases)
     return bases
 
@@ -181,12 +180,13 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
     """Residual pair entropies under single-party measurements of a four-party state.
 
     For every party this evaluates the computational basis, the |+>/|-> basis,
-    and ``trials`` Haar-random bases (sub-seeded per party and trial).  Random
-    bases contribute min/max/mean statistics per remaining pair; each basis also
-    carries a fragility flag (every residual entropy below 1e-10).  All bases of
-    a party are measured in one contraction, and every residual of the party is
-    read with one batched ``stacked_pair_entropies`` call, so ``trials`` must be
-    an integer in 1..``MAX_TRIALS``.
+    and ``trials`` Haar-random bases drawn from one ``default_rng([seed, party])``
+    stream, trial 0 first (see ``_party_bases``).  Random bases contribute
+    min/max/mean statistics per remaining pair; each basis also carries a
+    fragility flag (every residual entropy below 1e-10).  All bases of a party
+    are measured in one contraction, and every residual of the party is read
+    with one batched ``stacked_pair_entropies`` call, so ``trials`` must be an
+    integer in 1..``MAX_TRIALS``.
     """
     if s.n_parties != 4:
         raise DomainError(f"robustness_report is defined for four parties, got {s.n_parties}")
@@ -194,11 +194,9 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
     if trials > MAX_TRIALS:
         raise DomainError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     check_count("seed", seed)
-    per_party = {}
-    pooled = []
+    per_party, pooled = {}, []
     for p in range(4):
-        remaining = [PARTY_LETTERS[q] for q in range(4) if q != p]
-        pairs = [a + b for a, b in itertools.combinations(remaining, 2)]
+        _, pairs = _residual_pairs(p, 4)
         rest = tuple(d for q, d in enumerate(s.dims) if q != p)
         probs, w, defined = _branches(s, p, _party_bases(p, s.dims[p], trials, seed))
         ents = np.zeros(defined.shape + (len(pairs),))
@@ -211,14 +209,9 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
         for name, b_probs, b_ents, b_defined, b_fragile in zip(
                 ("computational", "plusminus"), probs[:n_named].tolist(),
                 ents[:n_named].tolist(), defined[:n_named].tolist(), fragile):
-            outcomes = []
-            for k, (prob, values, ok) in enumerate(zip(b_probs, b_ents, b_defined)):
-                row = {"outcome": k, "probability": prob}
-                if ok:
-                    row["entropies"] = dict(zip(pairs, values))
-                else:
-                    row["undefined"] = True
-                outcomes.append(row)
+            outcomes = [{"outcome": k, "probability": prob, "entropies": dict(zip(pairs, values))}
+                        if ok else {"outcome": k, "probability": prob, "undefined": True}
+                        for k, (prob, values, ok) in enumerate(zip(b_probs, b_ents, b_defined))]
             entry[name] = {"fragile": b_fragile, "outcomes": outcomes}
         random = ents[n_named:][defined[n_named:]]
         pooled.append(random.reshape(-1))

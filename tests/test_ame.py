@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quartet import ame, catalog
 from quartet.core import (
     DomainError,
+    PureState,
     ShapeError,
     apply_local_unitary,
     basis_state,
@@ -15,6 +17,7 @@ from quartet.core import (
     random_state,
     random_unitary,
 )
+from quartet.entropy import profile
 
 DIMS = (2, 2, 2, 2)
 
@@ -110,15 +113,24 @@ def test_deviation_matches_direct_reduction_route():
         assert dev.total == pytest.approx(math.fsum(dev.per_cut.values()), abs=1e-12)
 
 
-def test_deviation_locally_unitary_invariant():
-    rng = np.random.default_rng(15)
-    for _ in range(5):
-        s = random_state(DIMS, rng)
-        before = ame.ame_deviation(s).total
-        rotated = s
-        for p in range(4):
-            rotated = apply_local_unitary(rotated, p, random_unitary(2, rng))
-        assert ame.ame_deviation(rotated).total == pytest.approx(before, abs=1e-10)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_profile_and_deviation_are_local_unitary_invariant(d, seed):
+    rng = np.random.default_rng(seed)
+    s = random_state((d,) * 4, rng)
+    rotated = s
+    for p in range(4):
+        rotated = apply_local_unitary(rotated, p, random_unitary(d, rng))
+    before, after = profile(s).entries, profile(rotated).entries
+    assert max(abs(before[pair] - after[pair]) for pair in before) <= 1e-10
+    assert abs(ame.ame_deviation(s).total - ame.ame_deviation(rotated).total) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0])
+def test_deviation_rejects_unnormalized_states(scale):
+    s = PureState(DIMS, scale * catalog.make("M4").amps)
+    with pytest.raises(DomainError, match="squared norm"):
+        ame.ame_deviation(s)
 
 
 def test_deviation_rejects_unequal_dims():

@@ -116,6 +116,24 @@ def test_malformed_state_file(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+def _amplitude_file(first: str) -> str:
+    return '{"dims": [2, 2], "amps": [[%s, 0], [0, 0], [0, 0], [0, 0]]}' % first
+
+
+# A 400-digit integer overflows a float; past 4300 digits json cannot parse it at all.
+@pytest.mark.parametrize("text", [
+    _amplitude_file("1" + "0" * 399),
+    _amplitude_file("1" + "0" * 4300),
+    "[" * 100_000 + "]" * 100_000,
+], ids=["400-digit amplitude", "4301-digit literal", "deep nesting"])
+def test_state_file_past_the_parser_limits(tmp_path, capsys, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, payload, err = run_cli(capsys, ["profile", str(path)])
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bad_dims_is_usage_error(capsys):
     assert cli.dispatch(["ame", "--dims", "2,x"]) == 2
 

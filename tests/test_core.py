@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quartet.core import (
+    UNIT_NORM_TOL,
     DensityMatrix,
     DomainError,
     PureState,
@@ -14,6 +16,7 @@ from quartet.core import (
     apply_kept_operator,
     apply_local_unitary,
     basis_state,
+    check_normalized,
     conjugate,
     eigh,
     from_terms,
@@ -279,3 +282,62 @@ def test_state_json_ignores_unknown_keys():
 def test_state_json_rejects_malformed(payload):
     with pytest.raises(DomainError):
         state_from_json(payload)
+
+
+# Any JSON value a malformed state file could hold, oversized integers included.
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                         st.floats(allow_nan=True, allow_infinity=True),
+                         st.integers(), st.sampled_from([10**400, -(10**400)]))
+_HUGE = st.integers(10**309, 10**400) | st.integers(-(10**400), -(10**309))
+
+
+@st.composite
+def state_payloads(draw):
+    """A well-formed payload of 2-4 parties of dims 2-4, then one kind of damage."""
+    damage = draw(st.sampled_from(["none", "entries", "overflow", "length", "dims", "payload"]))
+    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    n = math.prod(dims)
+    pair = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
+    amps = draw(st.lists(pair, min_size=n, max_size=n))
+    if damage == "entries":
+        for _ in range(draw(st.integers(1, 3))):
+            amps[draw(st.integers(0, n - 1))] = draw(st.one_of(
+                st.lists(_JSON_VALUES, min_size=2, max_size=2), st.lists(_JSON_VALUES), _JSON_VALUES))
+    elif damage == "overflow":
+        amps[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = draw(_HUGE)
+    elif damage == "length":
+        amps = draw(st.lists(pair, max_size=n + 1).filter(lambda a: len(a) != n))
+    elif damage == "dims":
+        dims = draw(st.one_of(st.lists(st.integers(-1, 5), max_size=4),
+                              st.lists(_JSON_VALUES, max_size=4), _JSON_VALUES))
+    elif damage == "payload":
+        return draw(st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES),
+                              st.just({"amps": amps}), st.just({"dims": dims})))
+    return {"dims": dims, "amps": amps}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(state_payloads())
+def test_state_from_json_returns_a_state_or_a_domain_error(payload):
+    try:
+        s = state_from_json(payload)
+    except (DomainError, ShapeError):
+        return
+    assert isinstance(s, PureState) and list(s.dims) == payload["dims"]
+
+
+@pytest.mark.parametrize("amp", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+def test_state_json_rejects_an_amplitude_too_large_for_a_float(amp):
+    with pytest.raises(DomainError, match="not numeric"):
+        state_from_json({"dims": [2, 2], "amps": [[amp, 0], [0, 0], [0, 0], [0, 0]]})
+
+
+def test_check_normalized_rejects_any_state_of_a_stack():
+    stack = np.stack([random_state((2, 3), np.random.default_rng(k)).amps for k in range(3)])
+    check_normalized(stack)
+    check_normalized(stack[0] * np.sqrt(1.0 + 0.5 * UNIT_NORM_TOL))
+    for bad in (2.0, 0.0, np.sqrt(1.0 + 2.0 * UNIT_NORM_TOL), np.nan):
+        scaled = stack.copy()
+        scaled[1] *= bad
+        with pytest.raises(DomainError, match="squared norm deviates from 1 by more than 1e-08"):
+            check_normalized(scaled)

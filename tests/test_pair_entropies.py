@@ -42,6 +42,17 @@ def test_pair_entropies_match_partial_trace_route(s, scale):
         pair_entropies(PureState(s.dims, scale * s.amps))
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(4, 5).flatmap(lambda n: st.lists(st.integers(2, 4), min_size=n, max_size=n)
+                                 .filter(lambda ds: math.prod(ds) <= MAX_AMPS)),
+       st.integers(0, 2**32 - 1))
+def test_pair_entropy_equals_its_complement_entropy(dims, seed):
+    s = random_state(tuple(dims), np.random.default_rng(seed))
+    for key, value in pair_entropies(s).items():
+        rest = [q for q in range(s.n_parties) if PARTY_LETTERS[q] not in key]
+        assert abs(value - entropy(partial_trace(s, rest))) <= 1e-12
+
+
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     calls = []

@@ -1,6 +1,7 @@
 """The batched robustness report, checked against a per-basis loop that exists
 only here, plus its norm check and Hypothesis properties."""
 
+import importlib
 import itertools
 import json
 
@@ -8,19 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quartet import catalog, cli
+from quartet import catalog, cli, core
 from quartet.core import (
     PARTY_LETTERS,
     DomainError,
     PureState,
+    ShapeError,
+    apply_local_unitary,
     basis_state,
+    inner,
     random_state,
+    random_unitary,
     reduced_matrix,
     state_to_json,
 )
 from quartet.entropy import eigenvalue_entropy, stacked_pair_entropies
 from quartet.measure import (
     FRAGILE_TOL,
+    MeasurementBasis,
     _branches,
     _party_bases,
     computational_basis,
@@ -33,6 +39,8 @@ from quartet.measure import (
 )
 
 FLOAT_TOL = 1e-12
+# The package exports the function ``measure``, which hides the module of that name.
+measure_mod = importlib.import_module("quartet.measure")
 
 
 # A test-only copy of the per-basis loop the report replaced: one ``measure``
@@ -67,8 +75,9 @@ def _sequential_report(s, trials, seed):
         if d == 2:
             entry["plusminus"] = _sequential_row(s, plus_minus_basis(p), p)[0]
         samples, fragile_trials = {}, []
+        rng = np.random.default_rng([seed, p])
         for trial in range(trials):
-            basis = random_basis(p, d, np.random.default_rng([seed, p, trial]))
+            basis = random_basis(p, d, rng)
             row, values = _sequential_row(s, basis, p)
             if row["fragile"]:
                 fragile_trials.append(trial)
@@ -138,6 +147,119 @@ def test_cli_random_measurement_equals_the_library_route(tmp_path, capsys):
         assert payload["outcomes"] == json.loads(json.dumps(expected))
 
 
+# ------------------------------------------------------------ one basis stream per party
+
+
+def test_party_bases_do_not_depend_on_the_trial_count():
+    for d in (2, 3, 4):
+        named = 2 if d == 2 else 1
+        for seed in (0, 5, 2**20):
+            for p in range(4):
+                assert np.array_equal(_party_bases(p, d, 3, seed),
+                                      _party_bases(p, d, 8, seed)[:named + 3])
+
+
+def test_report_bases_continue_the_cli_random_basis(tmp_path, capsys, monkeypatch):
+    # Trial t of party p is the t-th basis ``random_basis`` draws from the
+    # generator ``quartet measure --basis random`` uses, so trial 0 is its basis.
+    s = random_state((2, 3, 4, 2), np.random.default_rng(82))
+    seen = []
+
+    def recording(state, party, vectors):
+        seen.append(vectors)
+        return _branches(state, party, vectors)
+
+    monkeypatch.setattr(measure_mod, "_branches", recording)
+    robustness_report(s, trials=5, seed=6)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json(s)))
+    for p, (d, vectors) in enumerate(zip(s.dims, seen)):
+        rng = np.random.default_rng([6, p])
+        expected = [random_basis(p, d, rng).vectors for _ in range(5)]
+        assert np.array_equal(vectors[-5:], expected)
+        assert cli.dispatch(["measure", str(path), "--party", str(p), "--basis", "random",
+                             "--seed", "6"]) == 0
+        printed = json.loads(capsys.readouterr().out)["basis_vectors"]
+        assert np.array_equal(np.array(printed) @ [1.0, 1j], expected[0])
+
+
+@pytest.mark.parametrize("trials", [1, 8, 40])
+def test_a_report_builds_one_generator_per_party(monkeypatch, trials):
+    built = []
+    original = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    robustness_report(catalog.make("M4"), trials=trials, seed=3)
+    assert built == [([3, p],) for p in range(4)]
+
+
+# ------------------------------------------------------------ equivariance overlap
+
+
+def _sequential_overlap(s, party, u):
+    """A test-only copy of the per-outcome loop ``equivariance_overlap`` replaced."""
+    rotated = measure(s, MeasurementBasis(party, u.T))
+    plain = measure(s, computational_basis(party, s.dims[party]))
+    overlaps = []
+    for rot, comp in zip(rotated, plain):
+        if rot.residual is None or comp.residual is None:
+            continue
+        carried = comp.residual
+        for q in range(carried.n_parties):
+            carried = apply_local_unitary(carried, q, u)
+        overlaps.append(abs(inner(rot.residual, carried)))
+    return float(min(overlaps))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.sampled_from([2, 3]), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_equivariance_overlap_matches_the_per_outcome_loop(n, d, party, seed):
+    rng = np.random.default_rng(seed)
+    s = random_state((d,) * n, rng)
+    u = random_unitary(d, rng)
+    assert abs(equivariance_overlap(s, party % n, u) - _sequential_overlap(s, party % n, u)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_m4_equivariance_overlap_is_one_for_any_qubit_unitary(party, seed):
+    u = random_unitary(2, np.random.default_rng(seed))
+    assert abs(equivariance_overlap(catalog.make("M4"), party, u) - 1.0) <= 1e-12
+
+
+def test_equivariance_overlap_makes_one_branch_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _branches(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-outcome route called")
+
+    monkeypatch.setattr(measure_mod, "_branches", counted)
+    for name in ("apply_local_unitary", "inner"):
+        assert not hasattr(measure_mod, name)
+        monkeypatch.setattr(core, name, forbidden)
+    monkeypatch.setattr(measure_mod, "measure", forbidden)
+    equivariance_overlap(catalog.make("M4"), 2, random_unitary(2, np.random.default_rng(83)))
+    assert calls == [2]
+
+
+def test_equivariance_overlap_rejects_a_unitary_that_does_not_fit():
+    s = random_state((2, 3, 2), np.random.default_rng(84))
+    with pytest.raises(ShapeError):
+        equivariance_overlap(s, 0, np.eye(2))
+    with pytest.raises(ShapeError):
+        equivariance_overlap(s, 1, np.eye(2))
+    with pytest.raises(DomainError):
+        equivariance_overlap(catalog.make("M4"), 0, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
 # ------------------------------------------------------------ unnormalized input
 
 
@@ -159,8 +281,9 @@ def test_unnormalized_states_are_rejected(name):
 
 
 @pytest.mark.parametrize("name", list(UNNORMALIZED))
-@pytest.mark.parametrize("argv", [["robustness", "--trials", "2"], ["measure", "--party", "A"]],
-                         ids=["robustness", "measure"])
+@pytest.mark.parametrize("argv", [["robustness", "--trials", "2"], ["measure", "--party", "A"],
+                                  ["profile"], ["stationarity"], ["canonicalize"]],
+                         ids=["robustness", "measure", "profile", "stationarity", "canonicalize"])
 def test_cli_rejects_unnormalized_states(tmp_path, capsys, name, argv):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state_to_json(UNNORMALIZED[name]())))
@@ -186,8 +309,9 @@ def test_every_basis_of_the_report_is_born_complete(s, seed):
         bases = _party_bases(p, d, 3, seed)
         probs, _, _ = _branches(s, p, bases)
         assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-12
+        rng = np.random.default_rng([seed, p])
         for t, vectors in enumerate(bases[-3:]):
-            expected = random_basis(p, d, np.random.default_rng([seed, p, t])).vectors
+            expected = random_basis(p, d, rng).vectors
             assert np.array_equal(vectors, expected)
 
 
