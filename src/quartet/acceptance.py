@@ -13,6 +13,7 @@ check also carries a wall-clock budget and fails if it runs over.
 
 from __future__ import annotations
 
+import collections
 import math
 import time
 from dataclasses import dataclass
@@ -206,11 +207,15 @@ def criterion_deviation_floor() -> tuple[bool, str]:
     gap = abs(report.floor - DEVIATION_FLOOR_2222)
     below = [r.restart for r in report.restarts
              if r.value < DEVIATION_FLOOR_2222 - DEVIATION_FLOOR_TOL]
+    converged = sum(r.converged for r in report.restarts)
+    reasons = collections.Counter(r.stop_reason for r in report.restarts)
     ame44 = ame_mod.ame_deviation(catalog.make("AME44")).total
     ok = gap <= DEVIATION_FLOOR_TOL and not below and ame44 < 1e-12
     details = (
         f"four-qubit floor {report.floor:.12f}, off the derived 4 by {gap:.2e} "
         f"(tol {DEVIATION_FLOOR_TOL:.0e}); restarts below it: {below or 'none'}; "
+        f"{converged}/{len(report.restarts)} converged, stop reasons: "
+        f"{', '.join(f'{reason} {n}' for reason, n in sorted(reasons.items()))}; "
         f"AME44 deviation {ame44:.2e} (tol 1e-12)"
     )
     return ok, details

@@ -1,14 +1,15 @@
 """Average pair-entropy objective, its analytic gradient, and seeded multi-start
-gradient ascent on the unit sphere of four-qubit states.
+Riemannian L-BFGS ascent on the unit sphere of four-qubit states.
 
 The objective extends off the sphere as the mean over the six pairs of
 -tr(rho log2 rho) with rho the raw (unrenormalized) pair reduction.  Its
 Euclidean gradient is assembled from per-pair terms
 -tr[d(rho) (log2 rho + I/ln 2)], three pair cuts at a time through
-``core.pair_cuts``; ascent projects onto the sphere's tangent space and
-retracts by renormalization.
+``core.pair_cuts``; ascent projects gradients onto the sphere's tangent space
+and retracts by renormalization.
 """
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -20,11 +21,16 @@ from .core import (FOUR_PARTY_CUT_ROWS, DomainError, PureState, ShapeError, chec
                    check_normalized, pair_cuts, random_state, scatter_cuts)
 
 SPECTRAL_FLOOR = 1e-12  # eigenvalue clamp inside the gradient's logarithm
-# Line search: first trial step, backtracking factor, smallest step, Armijo coefficient.
+# Line search: largest first trial step, backtracking factor, smallest step, Armijo coefficient.
 INITIAL_STEP = 1.0
 BACKTRACK = 0.5
 MIN_STEP = 1e-12
 ARMIJO = 1e-4
+MEMORY = 5  # curvature pairs kept by the L-BFGS direction
+# A trial within TIE_ULPS of the current value passes if its slope is at least
+# -WOLFE_SLOPE times the initial slope.
+TIE_ULPS = 16
+WOLFE_SLOPE = 0.8
 _INV_LN2 = 1.0 / math.log(2.0)
 FOUR_QUBITS = (2, 2, 2, 2)
 
@@ -97,59 +103,120 @@ class AscentOutcome:
     iterations: int
     converged: bool
     stop_reason: str
+    value_evals: int
+    gradient_evals: int
 
 
-def _stopped(amps, value, gnorm, iterations, grad_tol, reason) -> AscentOutcome:
-    converged = gnorm < grad_tol
-    return AscentOutcome(amps, value, gnorm, iterations, converged,
-                         "converged" if converged else reason)
+def _real(z):
+    """Complex amplitudes as interleaved real and imaginary parts, so Re<a, b> = a @ b."""
+    return np.ascontiguousarray(z, dtype=complex).reshape(-1).view(np.float64)
+
+
+def _tangent(x, g):
+    return g - (x @ g) * x
+
+
+def _lbfgs_direction(grad, pairs):
+    """Two-loop recursion: the L-BFGS inverse-Hessian estimate applied to ``grad``.
+
+    Each pair is (s, y, 1 / s.y), oldest first; the initial scaling is s.y / y.y
+    of the newest pair.
+    """
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    _, y, rho = pairs[-1]
+    r = q / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - rho * (y @ r)) * s
+    return r
 
 
 def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOutcome:
-    """Backtracking gradient ascent on the unit sphere.
+    """Riemannian L-BFGS ascent on the unit sphere with a backtracking line search.
 
-    Accepts a step when the retracted candidate gains at least
-    ARMIJO * step * |g|^2; the objective is therefore non-decreasing across
-    accepted steps.  ``stop_reason`` names the exit: ``converged`` (tangent
-    gradient norm below ``grad_tol``, at whichever exit), ``line_search_failed``
-    (no step above ``MIN_STEP`` is acceptable), ``stalled_at_resolution`` (50
-    accepted steps in a row gained nothing) or ``max_iters``.
+    The direction comes from the last ``MEMORY`` curvature pairs, each a step
+    and the fall of the tangent gradient along it, both projected onto the
+    tangent space of the point the step reached; a pair with Re<s, y> <= 0 is
+    skipped, and a direction that does not ascend clears the memory.  The first
+    trial step is min(1, 1/|g|) on an empty memory and 1 otherwise; a trial is
+    accepted when its value gains at least ARMIJO * step * slope.  A trial
+    whose value ties the current one within ``TIE_ULPS`` units in the last
+    place shows no gain at the objective's resolution, so its slope decides:
+    it is accepted while the slope is at least -WOLFE_SLOPE times the initial
+    slope (approximate Wolfe test, Hager & Zhang 2005).  Accepted values thus
+    never fall by more than that tie.  Vectors are kept as real views of the
+    amplitudes, where the real inner product is Re<a, b>.
+
+    ``stop_reason`` names the exit: ``converged`` (tangent gradient norm below
+    ``grad_tol``, at whichever exit), ``line_search_failed`` (no step above
+    ``MIN_STEP`` is acceptable), ``stalled_at_resolution`` (50 accepted steps
+    in a row gained nothing) or ``max_iters``.  ``value_evals`` counts the
+    line-search trials and ``gradient_evals`` the calls of ``value_grad_fn``.
     """
-    s = np.asarray(amps0, dtype=complex).reshape(-1).copy()
-    s /= np.linalg.norm(s)
-    value, grad = value_grad_fn(s)
-    step = INITIAL_STEP
+    x = np.asarray(amps0, dtype=complex).reshape(-1)
+    x = _real(x / np.linalg.norm(x))
+    value, grad = value_grad_fn(x.view(complex))
+    tangent = _tangent(x, _real(grad))
+    gnorm = math.sqrt(tangent @ tangent)
+    value_evals, gradient_evals = 0, 1
+    pairs = collections.deque(maxlen=MEMORY)
     stagnant = 0
+
+    def stopped(iterations, reason):
+        converged = gnorm < grad_tol
+        return AscentOutcome(x.view(complex), value, gnorm, iterations, converged,
+                             "converged" if converged else reason, value_evals, gradient_evals)
+
     for iteration in range(max_iters):
-        tangent = grad - np.real(np.vdot(s, grad)) * s
-        gnorm = float(np.linalg.norm(tangent))
         if gnorm < grad_tol:
-            return _stopped(s, value, gnorm, iteration, grad_tol, "converged")
-        t = min(INITIAL_STEP, 2.0 * step)
-        accepted = False
+            return stopped(iteration, "converged")
+        direction = tangent
+        if pairs:
+            direction = _tangent(x, _lbfgs_direction(tangent, pairs))
+            if not tangent @ direction > 0:
+                pairs.clear()
+                direction = tangent
+        slope = tangent @ direction
+        t = INITIAL_STEP if pairs else min(INITIAL_STEP, 1.0 / gnorm)
+        tie = TIE_ULPS * math.ulp(value)
+        trial = None
         while t >= MIN_STEP:
-            candidate = s + t * tangent
-            candidate /= np.linalg.norm(candidate)
-            cand_value = value_fn(candidate)
-            if cand_value >= value + ARMIJO * t * gnorm * gnorm:
-                accepted = True
+            candidate = x + t * direction
+            scale = math.sqrt(candidate @ candidate)
+            candidate /= scale
+            cand_value = value_fn(candidate.view(complex))
+            value_evals += 1
+            if cand_value >= value + ARMIJO * t * slope:
+                trial = value_grad_fn(candidate.view(complex))
+                gradient_evals += 1
                 break
+            if abs(cand_value - value) <= tie:
+                tied = value_grad_fn(candidate.view(complex))
+                gradient_evals += 1
+                # Slope along the retraction at t: Re<P g, d> / |x + t d|.
+                if _tangent(candidate, _real(tied[1])) @ direction / scale >= -WOLFE_SLOPE * slope:
+                    trial = tied
+                    break
             t *= BACKTRACK
-        if not accepted:
-            return _stopped(s, value, gnorm, iteration, grad_tol, "line_search_failed")
-        # Near the objective's floating-point resolution the sufficient-increase
-        # threshold underflows and tie-valued steps get accepted forever; a long
-        # run of them means the search has hit that resolution, not a plateau.
+        if trial is None:
+            return stopped(iteration, "line_search_failed")
+        # Near the objective's floating-point resolution accepted steps can tie
+        # forever; a long run of them means the search has hit that resolution.
         stagnant = stagnant + 1 if cand_value <= value else 0
-        s, step = candidate, t
-        value, grad = value_grad_fn(s)
+        new_tangent = _tangent(candidate, _real(trial[1]))
+        step = _tangent(candidate, t * direction)
+        fall = _tangent(candidate, tangent) - new_tangent
+        curvature = step @ fall
+        if curvature > 0:
+            pairs.append((step, fall, 1.0 / curvature))
+        x, value, tangent = candidate, trial[0], new_tangent
+        gnorm = math.sqrt(tangent @ tangent)
         if stagnant >= 50:
-            tangent = grad - np.real(np.vdot(s, grad)) * s
-            gnorm = float(np.linalg.norm(tangent))
-            return _stopped(s, value, gnorm, iteration + 1, grad_tol, "stalled_at_resolution")
-    tangent = grad - np.real(np.vdot(s, grad)) * s
-    gnorm = float(np.linalg.norm(tangent))
-    return _stopped(s, value, gnorm, max_iters, grad_tol, "max_iters")
+            return stopped(iteration + 1, "stalled_at_resolution")
+    return stopped(max_iters, "max_iters")
 
 
 def haar_starts(dims, restarts: int, seed: int, start: PureState = None):
@@ -162,7 +229,10 @@ def haar_starts(dims, restarts: int, seed: int, start: PureState = None):
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """What one start of a multi-start search did; ``value`` has the objective's own sign."""
+    """What one start of a multi-start search did; ``value`` has the objective's own sign.
+
+    ``value_evals`` counts line-search trials and ``gradient_evals`` value-and-gradient calls.
+    """
 
     restart: int
     value: float
@@ -170,6 +240,8 @@ class RestartRecord:
     iterations: int
     converged: bool
     stop_reason: str
+    value_evals: int
+    gradient_evals: int
 
 
 def multistart(value_fn, value_grad_fn, dims, *, restarts: int, seed: int, max_iters: int,
@@ -204,7 +276,8 @@ def multistart(value_fn, value_grad_fn, dims, *, restarts: int, seed: int, max_i
                 for amps0 in haar_starts(dims, restarts, seed, start)]
     best = max(range(len(outcomes)), key=lambda i: (outcomes[i].value, -i))
     records = [RestartRecord(r, signed(o.value), o.grad_norm, o.iterations, o.converged,
-                             o.stop_reason) for r, o in enumerate(outcomes)]
+                             o.stop_reason, o.value_evals, o.gradient_evals)
+               for r, o in enumerate(outcomes)]
     return records, [o.amps for o in outcomes], best
 
 

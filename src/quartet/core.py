@@ -65,9 +65,7 @@ class PureState:
             raise DomainError(f"at most {MAX_PARTIES} parties are supported")
         amps = np.array(self.amps, dtype=complex).reshape(-1)
         if amps.size != math.prod(dims):
-            raise ShapeError(
-                f"dims {dims} require {math.prod(dims)} amplitudes, got {amps.size}"
-            )
+            raise ShapeError(f"got {amps.size} amplitudes, not the product of the dims {dims}")
         if not np.all(np.isfinite(amps)):
             raise DomainError("amplitudes must be finite")
         object.__setattr__(self, "dims", dims)
@@ -325,10 +323,14 @@ def state_from_json(obj) -> PureState:
         raise DomainError('"dims" must be a list of integers')
     if not isinstance(amps, list):
         raise DomainError('"amps" must be a list of [re, im] pairs')
-    expected = math.prod(dims) if dims else 0
-    if len(amps) != expected:
-        raise DomainError(f'"amps" has {len(amps)} entries, dims {dims} require {expected}')
-    flat = np.empty(expected, dtype=complex)
+    if not dims or any(d < 2 for d in dims):
+        raise DomainError('"dims" entries must all be >= 2')
+    if len(dims) > MAX_PARTIES:
+        raise DomainError(f"at most {MAX_PARTIES} parties are supported")
+    # Parseable dims can multiply past Python's integer-to-text limit: never print the product.
+    if len(amps) != math.prod(dims):
+        raise DomainError(f'"amps" has {len(amps)} entries, not the product of the dims')
+    flat = np.empty(len(amps), dtype=complex)
     for i, pair in enumerate(amps):
         if not isinstance(pair, list) or len(pair) != 2:
             raise DomainError(f'"amps"[{i}] is not an [re, im] pair')

@@ -120,12 +120,20 @@ def _amplitude_file(first: str) -> str:
     return '{"dims": [2, 2], "amps": [[%s, 0], [0, 0], [0, 0], [0, 0]]}' % first
 
 
-# A 400-digit integer overflows a float; past 4300 digits json cannot parse it at all.
+def _huge_dims_file(parties: int) -> str:
+    return json.dumps({"dims": [10**1500] * parties, "amps": [[1, 0]]})
+
+
+# A 400-digit integer overflows a float; past 4300 digits json cannot parse it at all,
+# and three parseable 1501-digit dims multiply past that limit.
 @pytest.mark.parametrize("text", [
     _amplitude_file("1" + "0" * 399),
     _amplitude_file("1" + "0" * 4300),
     "[" * 100_000 + "]" * 100_000,
-], ids=["400-digit amplitude", "4301-digit literal", "deep nesting"])
+    _huge_dims_file(3),
+    _huge_dims_file(9),
+], ids=["400-digit amplitude", "4301-digit literal", "deep nesting", "huge dims",
+        "too many huge dims"])
 def test_state_file_past_the_parser_limits(tmp_path, capsys, text):
     path = tmp_path / "state.json"
     path.write_text(text)
@@ -226,7 +234,8 @@ def test_bad_optimizer_input_is_a_domain_error(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-RECORD_KEYS = {"restart", "value", "grad_norm", "iterations", "converged", "stop_reason"}
+RECORD_KEYS = {"restart", "value", "grad_norm", "iterations", "converged", "stop_reason",
+               "value_evals", "gradient_evals"}
 
 
 def test_optimizer_restarts_report_stop_reasons(capsys):

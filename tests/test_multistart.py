@@ -1,7 +1,9 @@
 """The one multi-start driver behind ``maximize`` and ``minimize_deviation``."""
 
+import collections
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -118,11 +120,31 @@ def test_both_searches_share_one_record_type():
         assert record.converged == (record.stop_reason == "converged")
 
 
+def _phase_gradient(size):
+    """A gradient of norm ``size`` along the phase direction i*a at every normalized a.
+
+    Moving along it changes no value, so a search on a constant objective keeps
+    taking tied steps.
+    """
+    def value_grad(amps, dims=None):
+        return 1.0, 1j * size * amps
+    return value_grad
+
+
+def _hand_built(value, restarts):
+    """Records of a multi-start run on a constant objective with a phase gradient of 1e-6."""
+    records, _, _ = multistart(lambda amps, dims: value, _phase_gradient(1e-6), DIMS,
+                               restarts=restarts, seed=0, max_iters=500, grad_tol=1e-8)
+    return types.SimpleNamespace(restarts=records)
+
+
 @pytest.mark.parametrize("reason, run, restart", [
     ("converged", lambda: maximize(restarts=0, start=make("C4")), 0),
     ("max_iters", lambda: maximize(restarts=1, seed=0, max_iters=1), 0),
-    ("line_search_failed", lambda: maximize(restarts=2, seed=0, max_iters=500), 1),
-    ("stalled_at_resolution", lambda: minimize_deviation(DIMS, restarts=1, seed=0), 0),
+    # Every trial value lies below the value the gradient call reported.
+    ("line_search_failed", lambda: _hand_built(0.0, restarts=2), 1),
+    # Every trial ties the current value exactly.
+    ("stalled_at_resolution", lambda: _hand_built(1.0, restarts=1), 0),
 ])
 def test_each_stop_reason_is_reported(reason, run, restart):
     record = run().restarts[restart]
@@ -138,13 +160,9 @@ def test_each_stop_reason_is_reported(reason, run, restart):
 
 def test_stop_reason_follows_the_final_gradient_at_every_exit():
     # A flat objective whose gradient is tiny but above tolerance: every trial
-    # step ties, the sufficient-increase threshold underflows, and the run
-    # stalls after 50 tied steps unless the tolerance already counts it converged.
-    direction = np.exp(1j * np.arange(16)) * 1e-9
-
-    def flat(a):
-        return 1.0, direction
-
+    # step ties, and the run stalls after 50 tied steps unless the tolerance
+    # already counts it converged.
+    flat = _phase_gradient(1e-9)
     start = make("C4").amps
     stalled = ascend(lambda a: 1.0, flat, start, grad_tol=1e-12)
     assert (stalled.stop_reason, stalled.converged, stalled.iterations) == (
@@ -165,7 +183,7 @@ def test_starts_are_drawn_when_their_restart_runs(monkeypatch):
 
     def recording_ascend(value_fn, value_grad_fn, amps0, **kwargs):
         drawn_before_each_descent.append(len(draws))
-        return AscentOutcome(np.asarray(amps0), 0.0, 0.0, 0, True, "converged")
+        return AscentOutcome(np.asarray(amps0), 0.0, 0.0, 0, True, "converged", 0, 1)
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     first = next(haar_starts(DIMS, 10**12, 7))
@@ -197,3 +215,90 @@ def test_one_restart_rule_for_both_searches(monkeypatch, search, dims):
                    {"max_iters": 0}, {"grad_tol": float("nan")}):
         with pytest.raises(DomainError):
             search(**kwargs)
+
+
+def test_every_criterion_5_restart_converges_on_the_floor():
+    records, finals, _ = multistart(
+        deviation_value_raw, deviation_value_and_gradient_raw, DIMS, restarts=50, seed=0,
+        max_iters=5000, grad_tol=1e-8, minimize=True,
+    )
+    for record, amps in zip(records, finals):
+        assert (record.stop_reason, record.converged) == ("converged", True)
+        assert abs(record.value - 4.0) <= 1e-9
+        _, g = deviation_value_and_gradient_raw(amps, DIMS)
+        assert np.linalg.norm(g - np.real(np.vdot(amps, g)) * amps) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_maximize_restart_converges_on_the_m4_profile(seed):
+    report = maximize(seed=seed)
+    assert [r.stop_reason for r in report.restarts] == ["converged"] * 20
+    assert report.classifications == ["MATCHES_M4_PROFILE"] * 20
+
+
+@pytest.mark.parametrize("search, state", [
+    (lambda: maximize(restarts=4, seed=3), "best_state"),
+    (lambda: minimize_deviation(DIMS, restarts=4, seed=3), "state"),
+], ids=["maximize", "minimize_deviation"])
+def test_seeded_reruns_are_bitwise_identical(search, state):
+    first, again = search(), search()
+    # repr tells floats apart by their bits and includes the evaluation counts.
+    assert repr(first.restarts) == repr(again.restarts)
+    assert getattr(first, state).amps.tobytes() == getattr(again, state).amps.tobytes()
+
+
+def test_restart_records_count_every_evaluation():
+    calls = collections.Counter()
+
+    def value(amps, dims):
+        calls["value"] += 1
+        return deviation_value_raw(amps, dims)
+
+    def value_grad(amps, dims):
+        calls["gradient"] += 1
+        return deviation_value_and_gradient_raw(amps, dims)
+
+    records, _, _ = multistart(value, value_grad, DIMS, restarts=3, seed=0, max_iters=5000,
+                               grad_tol=1e-8, minimize=True)
+    assert calls == {"value": sum(r.value_evals for r in records),
+                     "gradient": sum(r.gradient_evals for r in records)}
+
+
+def test_deviation_descent_never_rises_by_more_than_the_tie():
+    # More value-and-gradient calls than accepted points means a trial tied.
+    starts = list(haar_starts(DIMS, 10, 0))
+    tied = [r for r in minimize_deviation(DIMS, restarts=10, seed=0).restarts
+            if r.gradient_evals > r.iterations + 1]
+    assert tied
+    for record in tied[:2]:
+        start = PureState(DIMS, starts[record.restart])
+        # Capping a descent at k iterations returns its k-th accepted point.
+        floors = [deviation_value_raw(start.amps, DIMS)] + [
+            minimize_deviation(DIMS, restarts=0, start=start, max_iters=k).floor
+            for k in range(1, record.iterations + 1)
+        ]
+        assert floors[-1] == record.value
+        for before, after in zip(floors, floors[1:]):
+            assert after - before <= ascent.TIE_ULPS * math.ulp(before)
+
+
+@pytest.mark.parametrize("fall_ulps, reversal, reason, evals", [
+    (16, 1.0, "max_iters", (1, 2)),
+    (17, 1.0, "line_search_failed", (40, 1)),
+    (16, -0.75, "max_iters", (1, 2)),
+    (16, -0.85, "line_search_failed", (40, 41)),
+], ids=["tie-kept-slope", "fall-past-the-tie", "tie-mild-reversal", "tie-steep-reversal"])
+def test_a_tied_trial_is_judged_by_its_slope(fall_ulps, reversal, reason, evals):
+    # Every trial falls fall_ulps below the start's value 1.  The gradient lies
+    # along the phase direction; after the start it is scaled by ``reversal``,
+    # so the slope at a trial is about reversal times the initial slope.
+    calls = []
+
+    def value_grad(amps):
+        calls.append(None)
+        return 1.0, (1.0 if len(calls) == 1 else reversal) * 1e-6j * amps
+
+    outcome = ascend(lambda amps: 1.0 - fall_ulps * math.ulp(1.0), value_grad,
+                     make("C4").amps, max_iters=1)
+    assert outcome.stop_reason == reason
+    assert (outcome.value_evals, outcome.gradient_evals) == evals
