@@ -1,5 +1,4 @@
-"""Pair-versus-pair reshapes of four-party tensors and the distance of every
-pair reduction from maximal mixing.
+"""Distance of every pair reduction of a four-party state from maximal mixing.
 
 For a cut such as AC|BD the state tensor t[i,j,k,l] becomes the matrix
 M[(i,k), (j,l)]; M M^dagger equals the reduction onto the row pair, so the
@@ -20,14 +19,6 @@ CUTS = ("AB_CD", "AC_BD", "AD_BC")
 _CUTS_BY_PARTIES = {2: (("A_B",), ((0,),)), 4: (CUTS, FOUR_PARTY_CUT_ROWS)}
 
 
-@dataclass(frozen=True)
-class ReshapeMatrix:
-    """A four-party tensor flattened across one pair cut."""
-
-    cut: str
-    matrix: np.ndarray
-
-
 def _check_equal_dims(dims, n_parties=None):
     dims = tuple(dims)
     if n_parties is not None and len(dims) != n_parties:
@@ -35,19 +26,6 @@ def _check_equal_dims(dims, n_parties=None):
     if len(set(dims)) != 1 or dims[0] < 2:
         raise DomainError(f"equal local dimensions of at least 2 required, got {dims}")
     return dims
-
-
-def reshape(s: PureState, cut: str) -> ReshapeMatrix:
-    """Flatten a four-party state across the named cut.
-
-    Row index runs over the first pair of the cut label, column index over the
-    second, each in row-major order.
-    """
-    _check_equal_dims(s.dims, 4)
-    if cut not in CUTS:
-        raise DomainError(f"unknown cut {cut!r}; expected one of {', '.join(CUTS)}")
-    m, _ = pair_cuts(s.amps, s.dims, (FOUR_PARTY_CUT_ROWS[CUTS.index(cut)],))
-    return ReshapeMatrix(cut, m[0])
 
 
 def _cuts(dims) -> tuple:

@@ -31,6 +31,8 @@ MEMORY = 5  # curvature pairs kept by the L-BFGS direction
 # -WOLFE_SLOPE times the initial slope.
 TIE_ULPS = 16
 WOLFE_SLOPE = 0.8
+# Every start is a dense amplitude vector, so the state size is bounded.
+MAX_AMPLITUDES = 2**20
 _INV_LN2 = 1.0 / math.log(2.0)
 FOUR_QUBITS = (2, 2, 2, 2)
 
@@ -68,18 +70,6 @@ def value_and_gradient_raw(amps: np.ndarray, dims):
     log_term = (vec * weights[:, None, :]) @ vec.conj().transpose(0, 2, 1)
     g = scatter_cuts(log_term @ m, dims, FOUR_PARTY_CUT_ROWS)
     return _mean_pair_entropy(lam), (-4.0 / 6.0) * g
-
-
-def entropy_gradient(s: PureState) -> PureState:
-    """Tangent-space gradient of the mean pair entropy at a normalized state.
-
-    The Euclidean gradient is projected via g -> g - Re<s|g> s; the phase
-    direction carries no gradient because the objective is phase invariant.
-    """
-    _check_state(s)
-    _, g = value_and_gradient_raw(s.amps, s.dims)
-    g = g - np.real(np.vdot(s.amps, g)) * s.amps
-    return PureState(s.dims, g)
 
 
 def stationarity_report(s: PureState) -> dict:
@@ -250,13 +240,17 @@ def multistart(value_fn, value_grad_fn, dims, *, restarts: int, seed: int, max_i
 
     ``value_fn(amps, dims)`` and ``value_grad_fn(amps, dims)`` are a raw
     objective and its Euclidean gradient, negated for the ascent if
-    ``minimize``.  ``restarts`` may be 0 only with a ``start``.  Returns one
-    ``RestartRecord`` and one final amplitude vector per start, and the index
-    of the best start (the earliest wins ties).
+    ``minimize``.  ``restarts`` may be 0 only with a ``start``, ``grad_tol``
+    must be positive and finite, and a state may have at most
+    ``MAX_AMPLITUDES`` amplitudes; all are checked before any start is drawn.
+    Returns one ``RestartRecord`` and one final amplitude vector per start,
+    and the index of the best start (the earliest wins ties).
     """
     check_count("max_iters", max_iters, 1)
-    if not grad_tol > 0:
-        raise DomainError(f"grad_tol must be positive, got {grad_tol}")
+    if not 0 < grad_tol < math.inf:
+        raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
+    if math.prod(dims) > MAX_AMPLITUDES:
+        raise DomainError(f"states of more than {MAX_AMPLITUDES} amplitudes are not supported")
     check_count("restarts", restarts, 0 if start is not None else 1)
     check_count("seed", seed)
     if start is not None and tuple(start.dims) != tuple(dims):

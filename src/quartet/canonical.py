@@ -63,35 +63,6 @@ def _contract_rows(front: np.ndarray, vectors, party: int) -> np.ndarray:
     return out.reshape(len(out), front.shape[0])
 
 
-def best_local_vector(s: PureState, party: int, others) -> tuple:
-    """Exact single-party maximizer of the product overlap, with the rest fixed.
-
-    ``others`` maps each remaining party to its fixed local vector.  Returns
-    ``(vector, contraction_norm)``; a zero contraction is degenerate and yields
-    the first basis vector with norm 0.0.
-    """
-    if party < 0 or party >= s.n_parties:
-        raise DomainError(f"party {party} out of range")
-    vectors = [None] * s.n_parties
-    for q in range(s.n_parties):
-        if q == party:
-            continue
-        try:
-            vec = others[q]
-        except (KeyError, IndexError, TypeError):
-            raise DomainError(f"missing fixed vector for party {q}") from None
-        vectors[q] = np.asarray(vec, dtype=complex).reshape(1, -1)
-        if vectors[q].shape[1] != s.dims[q]:
-            raise DomainError(f"fixed vector for party {q} has wrong dimension")
-    v = _contract_rows(np.moveaxis(s.tensor(), party, 0), vectors, party)[0]
-    nv = float(np.linalg.norm(v))
-    if nv < DEGENERACY_TOL:
-        e0 = np.zeros(s.dims[party], dtype=complex)
-        e0[0] = 1.0
-        return PureState((s.dims[party],), e0), 0.0
-    return PureState((s.dims[party],), v / nv), nv
-
-
 def _random_product(dims, rng):
     vecs = []
     for d in dims:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, PureState, conjugate, from_terms
+from .core import DomainError, PureState, from_terms
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 OMEGA2 = OMEGA.conjugate()
@@ -101,7 +101,7 @@ _BUILDERS = {
     "C8": lambda: cat_state(8),
     "PSI_EXAMPLE": _psi_example,
     "M4": _m4,
-    "M4_BAR": lambda: conjugate(_m4()),
+    "M4_BAR": lambda: PureState((2, 2, 2, 2), _m4().amps.conj()),
     "PHI_PLUS": lambda: _pair(1.0),
     "PHI_MINUS": lambda: _pair(-1.0),
     "PLUS": lambda: _single(1.0),

@@ -1,9 +1,9 @@
-"""Complex amplitude tensors, reductions, and spectra for small multi-party systems.
+"""Complex amplitude tensors and their reductions for small multi-party systems.
 
 Amplitudes are stored flat in row-major order with party 0 most significant:
 for four parties the flat index of the multi-index (i, j, k, l) is
-``((i*d1 + j)*d2 + k)*d3 + l``.  Containers are immutable after construction
-and hold complex128 data throughout.
+``((i*d1 + j)*d2 + k)*d3 + l``.  A ``PureState`` is immutable after construction
+and holds complex128 amplitudes.
 """
 
 import functools
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 UNIT_NORM_TOL = 1e-8
 MAX_PARTIES = 8
@@ -58,11 +56,12 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 2 for d in dims):
-            raise DomainError(f"local dimensions must all be >= 2, got {dims}")
-        if len(dims) > MAX_PARTIES:
-            raise DomainError(f"at most {MAX_PARTIES} parties are supported")
+        dims = tuple(self.dims)
+        for d in dims:
+            check_count("local dimension", d, 2)
+        if not 1 <= len(dims) <= MAX_PARTIES:
+            raise DomainError(f"a state has 1 to {MAX_PARTIES} parties, got {len(dims)}")
+        dims = tuple(int(d) for d in dims)
         amps = np.array(self.amps, dtype=complex).reshape(-1)
         if amps.size != math.prod(dims):
             raise ShapeError(f"got {amps.size} amplitudes, not the product of the dims {dims}")
@@ -78,47 +77,6 @@ class PureState:
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per party."""
         return self.amps.reshape(self.dims)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) < tol
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian reduced density matrix on a ``dim``-dimensional space."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        dim = int(self.dim)
-        entries = np.array(self.entries, dtype=complex)
-        if entries.shape != (dim, dim):
-            raise ShapeError(f"expected a {dim}x{dim} matrix, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise DomainError("matrix entries must be finite")
-        if np.max(np.abs(entries - entries.conj().T)) >= HERMITIAN_TOL:
-            raise DomainError("matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", _frozen(entries))
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in descending order with matching orthonormal eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _frozen(np.array(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "eigenvectors", _frozen(np.array(self.eigenvectors, dtype=complex)))
 
 
 def basis_state(dims, occupation) -> PureState:
@@ -138,13 +96,6 @@ def from_terms(dims, terms) -> PureState:
     return PureState(dims, amps)
 
 
-def normalize(s: PureState) -> PureState:
-    n = s.norm()
-    if n == 0.0:
-        raise DomainError("cannot normalize the zero vector")
-    return PureState(s.dims, s.amps / n)
-
-
 def inner(a: PureState, b: PureState) -> complex:
     """Inner product <a|b>, conjugate-linear in the first argument."""
     if a.dims != b.dims:
@@ -152,26 +103,8 @@ def inner(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def conjugate(s: PureState) -> PureState:
-    """Componentwise complex conjugate in the computational basis."""
-    return PureState(s.dims, s.amps.conj())
-
-
-def tensor_product(parts) -> PureState:
-    """Combine states on disjoint party sets; norms multiply."""
-    parts = list(parts)
-    if not parts:
-        raise DomainError("tensor_product needs at least one factor")
-    amps = parts[0].amps
-    dims = list(parts[0].dims)
-    for p in parts[1:]:
-        amps = np.kron(amps, p.amps)
-        dims.extend(p.dims)
-    return PureState(tuple(dims), amps)
-
-
 def reduced_matrix(amps: np.ndarray, dims, keep) -> np.ndarray:
-    """Raw reduced density matrix over the kept parties, no container validation."""
+    """Raw reduced density matrix over the kept parties, with no validation."""
     dims = tuple(dims)
     keep = tuple(sorted(keep))
     t = np.asarray(amps, dtype=complex).reshape(dims)
@@ -215,37 +148,19 @@ def scatter_cuts(g: np.ndarray, dims: tuple, rows: tuple) -> np.ndarray:
     return g.reshape(-1)[scatter].sum(0)
 
 
-def partial_trace(s: PureState, keep) -> DensityMatrix:
-    """Trace out every party not listed in ``keep``.
+def partial_trace(s: PureState, keep) -> np.ndarray:
+    """Reduced density matrix of ``s`` with every party not listed in ``keep`` traced out.
 
-    Kept parties retain their original relative order; ``keep`` must be a
-    nonempty proper subset of the parties.
+    Parties are indices or letters; kept parties retain their original relative
+    order, and ``keep`` must be a nonempty proper subset of the parties.  This
+    is the reduction that tests and acceptance checks hold ``pair_cuts`` to.
     """
     keep = sorted({party_index(p, s.n_parties) for p in keep})
     if not keep:
         raise DomainError("keep set must be nonempty")
     if len(keep) == s.n_parties:
         raise DomainError("keep set must be a proper subset of the parties")
-    rho = reduced_matrix(s.amps, s.dims, keep)
-    return DensityMatrix(rho.shape[0], rho)
-
-
-def eigh(m: DensityMatrix) -> Spectrum:
-    """Spectral decomposition with deterministic ordering and phases.
-
-    Eigenvalues are returned in descending order (stable under ties); each
-    eigenvector is rotated so its largest-magnitude component is real positive.
-    """
-    lam, vec = np.linalg.eigh(np.asarray(m.entries))
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    vec = vec[:, order].copy()
-    for k in range(vec.shape[1]):
-        j = int(np.argmax(np.abs(vec[:, k])))
-        pivot = vec[j, k]
-        if pivot != 0:
-            vec[:, k] *= pivot.conjugate() / abs(pivot)
-    return Spectrum(lam, vec)
+    return reduced_matrix(s.amps, s.dims, keep)
 
 
 def apply_local_unitary(s: PureState, party: int, u) -> PureState:
@@ -258,9 +173,7 @@ def apply_local_unitary(s: PureState, party: int, u) -> PureState:
         raise ShapeError(f"expected a {d}x{d} matrix for party {party}, got {u.shape}")
     if np.linalg.norm(u.conj().T @ u - np.eye(d)) >= UNITARY_TOL:
         raise DomainError("matrix is not unitary within tolerance")
-    t = np.tensordot(u, s.tensor(), axes=([1], [party]))
-    t = np.moveaxis(t, 0, party)
-    return PureState(s.dims, t.reshape(-1))
+    return PureState(s.dims, apply_kept_operator(s.tensor(), u, (party,)).reshape(-1))
 
 
 def apply_kept_operator(t: np.ndarray, op: np.ndarray, keep) -> np.ndarray:

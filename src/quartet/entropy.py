@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (UNIT_NORM_TOL, DensityMatrix, DomainError, PARTY_LETTERS, PureState,
-                   check_normalized, pair_cuts)
+from .core import UNIT_NORM_TOL, DomainError, PARTY_LETTERS, PureState, check_normalized, pair_cuts
 
 PAIRS = ("AB", "AC", "AD", "BC", "BD", "CD")
 EIG_FLOOR = 1e-15
@@ -44,11 +43,11 @@ def eigenvalue_entropy(lam):
     return -(kept * np.log2(kept)).sum(axis=-1)
 
 
-def entropy(m: DensityMatrix) -> float:
-    """Von Neumann entropy -tr(m log2 m) of a unit-trace density matrix."""
-    if abs(m.trace() - 1.0) > UNIT_NORM_TOL:
+def entropy(rho) -> float:
+    """Von Neumann entropy -tr(rho log2 rho) of a unit-trace Hermitian matrix."""
+    if abs(np.trace(rho).real - 1.0) > UNIT_NORM_TOL:
         raise DomainError(f"trace deviates from 1 by more than {UNIT_NORM_TOL}")
-    return float(eigenvalue_entropy(np.linalg.eigvalsh(np.asarray(m.entries))))
+    return float(eigenvalue_entropy(np.linalg.eigvalsh(rho)))
 
 
 @functools.lru_cache(maxsize=None)

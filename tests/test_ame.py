@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from quartet import ame, catalog
 from quartet.core import (
+    FOUR_PARTY_CUT_ROWS,
     DomainError,
     PureState,
     ShapeError,
     apply_local_unitary,
     basis_state,
+    pair_cuts,
     partial_trace,
     random_state,
     random_unitary,
@@ -33,11 +35,10 @@ def test_reshape_preserves_norm():
     rng = np.random.default_rng(11)
     for _ in range(5):
         s = random_state(DIMS, rng)
-        for cut in ame.CUTS:
-            m = ame.reshape(s, cut)
-            assert m.cut == cut
-            assert m.matrix.shape == (4, 4)
-            assert np.linalg.norm(m.matrix) == pytest.approx(1.0, abs=1e-12)
+        m, _ = pair_cuts(s.amps, DIMS, FOUR_PARTY_CUT_ROWS)
+        assert m.shape == (3, 4, 4)
+        for matrix in m:
+            assert np.linalg.norm(matrix) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reshape_index_convention():
@@ -45,7 +46,7 @@ def test_reshape_index_convention():
     rng = np.random.default_rng(12)
     s = random_state(DIMS, rng)
     t = s.tensor()
-    m = ame.reshape(s, "AC_BD").matrix
+    m = pair_cuts(s.amps, DIMS, (ROW_PAIRS["AC_BD"],))[0][0]
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -57,26 +58,27 @@ def test_reshape_rows_give_pair_reduction():
     rng = np.random.default_rng(13)
     for _ in range(5):
         s = random_state(DIMS, rng)
-        for cut, keep in ROW_PAIRS.items():
-            m = ame.reshape(s, cut).matrix
-            rho = partial_trace(s, keep).entries
-            assert np.allclose(m @ m.conj().T, rho, atol=1e-12)
+        m, _ = pair_cuts(s.amps, DIMS, tuple(ROW_PAIRS.values()))
+        for matrix, keep in zip(m, ROW_PAIRS.values()):
+            assert np.allclose(matrix @ matrix.conj().T, partial_trace(s, keep), atol=1e-12)
 
 
 def test_reshape_rejects_bad_input():
+    # The deviation reshapes four parties of equal dimension, and every cut to one shape.
     with pytest.raises(DomainError):
-        ame.reshape(random_state(DIMS, np.random.default_rng(0)), "AB_DC")
+        ame.ame_deviation(random_state((2, 2, 2), np.random.default_rng(0)))
+    unequal = random_state((2, 2, 2, 3), np.random.default_rng(0))
     with pytest.raises(DomainError):
-        ame.reshape(random_state((2, 2, 2), np.random.default_rng(0)), "AB_CD")
-    with pytest.raises(DomainError):
-        ame.reshape(random_state((2, 2, 2, 3), np.random.default_rng(0)), "AB_CD")
+        ame.ame_deviation(unequal)
+    with pytest.raises(ShapeError):
+        pair_cuts(unequal.amps, unequal.dims, ((0, 1), (0, 3)))
 
 
 def test_ame44_reshapes_are_unitary_up_to_scale():
     s = catalog.make("AME44")
-    for cut in ame.CUTS:
-        m = ame.reshape(s, cut).matrix
-        assert np.allclose(16 * m @ m.conj().T, np.eye(16), atol=1e-12)
+    m, _ = pair_cuts(s.amps, s.dims, FOUR_PARTY_CUT_ROWS)
+    for matrix in m:
+        assert np.allclose(16 * matrix @ matrix.conj().T, np.eye(16), atol=1e-12)
 
 
 def test_deviation_zero_state():
@@ -107,7 +109,7 @@ def test_deviation_matches_direct_reduction_route():
         s = random_state(DIMS, rng)
         dev = ame.ame_deviation(s)
         for cut, keep in ROW_PAIRS.items():
-            rho = partial_trace(s, keep).entries
+            rho = partial_trace(s, keep)
             direct = float(np.sum(np.abs(4 * rho - np.eye(4)) ** 2))
             assert dev.per_cut[cut] == pytest.approx(direct, abs=1e-10)
         assert dev.total == pytest.approx(math.fsum(dev.per_cut.values()), abs=1e-12)
@@ -166,7 +168,7 @@ def test_minimize_two_qubits_reaches_zero():
     assert rep.per_cut["A_B"] == pytest.approx(rep.floor, abs=1e-12)
     assert len(rep.restarts) == 2
     # Bell-like minimizer: single-party reduction maximally mixed.
-    rho = partial_trace(rep.state, (0,)).entries
+    rho = partial_trace(rep.state, (0,))
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-8)
 
 

@@ -1,5 +1,6 @@
 """Closest-product search and the zero-pattern canonical form."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from quartet.canonical import (
     MAX_SWEEPS,
     SWEEP_RESIDUAL_TOL,
     CanonicalForm,
-    best_local_vector,
     canonicalize,
     unitary_from_first_column,
 )
@@ -21,11 +21,9 @@ from quartet.core import (
     DomainError,
     PureState,
     apply_local_unitary,
-    basis_state,
     inner,
     random_state,
     random_unitary,
-    tensor_product,
 )
 
 
@@ -56,34 +54,6 @@ def test_unitary_completion_is_deterministic():
     assert np.array_equal(
         unitary_from_first_column(v), unitary_from_first_column(v)
     )
-
-
-def test_best_local_vector_exact_maximizer():
-    # fixing B of (|00> + |11>)/sqrt2 at |0> makes |0> the exact maximizer on A
-    c2 = make("C2")
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    vec, nv = best_local_vector(c2, 0, {1: e0})
-    assert nv == pytest.approx(1 / math.sqrt(2))
-    assert abs(abs(vec.amps[0]) - 1.0) < 1e-12
-
-
-def test_best_local_vector_degenerate_contraction():
-    # product state orthogonal to the fixed vector: contraction vanishes
-    s = basis_state((2, 2), (1, 1))
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    vec, nv = best_local_vector(s, 0, {1: e0})
-    assert nv == 0.0
-    assert vec.amps[0] == 1.0
-
-
-def test_best_local_vector_validates_input():
-    c2 = make("C2")
-    with pytest.raises(DomainError):
-        best_local_vector(c2, 5, {1: np.array([1.0, 0.0])})
-    with pytest.raises(DomainError):
-        best_local_vector(c2, 0, {})
-    with pytest.raises(DomainError):
-        best_local_vector(c2, 0, {1: np.array([1.0, 0.0, 0.0])})
 
 
 def _grid_best_product_overlap(s: PureState, steps: int = 13) -> float:
@@ -131,8 +101,7 @@ def test_cat_canonical_form_keeps_computational_frame():
 
 def test_product_state_canonicalizes_to_all_zero():
     rng = np.random.default_rng(9)
-    parts = [PureState((2,), v) for v in (_rand_qubit(rng) for _ in range(4))]
-    s = tensor_product(parts)
+    s = PureState((2,) * 4, functools.reduce(np.kron, [_rand_qubit(rng) for _ in range(4)]))
     form = canonicalize(s, restarts=4, seed=1)
     assert form.overlap == pytest.approx(1.0, abs=1e-10)
     assert abs(form.state.amps[0] - 1.0) < 1e-8

@@ -225,8 +225,10 @@ def test_maximize_strict_flags_nonconvergence(capsys):
     ["ame", "--dims=-2,-2"],
     ["ame", "--dims=1,1"],
     ["ame", "--max-iters", "0"],
+    ["ame", "--dims", "1000,1000,1000,1000", "--restarts", "1"],
     ["maximize", "--grad-tol", "nan"],
     ["maximize", "--grad-tol", "0"],
+    ["maximize", "--restarts", "1", "--grad-tol", "inf"],
 ], ids=" ".join)
 def test_bad_optimizer_input_is_a_domain_error(capsys, argv):
     code, payload, err = run_cli(capsys, argv)

@@ -212,9 +212,24 @@ def test_one_restart_rule_for_both_searches(monkeypatch, search, dims):
     monkeypatch.setattr(ascent, "ascend", forbidden)
     for kwargs in ({"restarts": 0}, {"restarts": -1, "start": start}, {"restarts": 2.5},
                    {"restarts": True}, {"restarts": "3"}, {"seed": -1}, {"seed": 1.5},
-                   {"max_iters": 0}, {"grad_tol": float("nan")}):
+                   {"max_iters": 0}, {"grad_tol": float("nan")}, {"grad_tol": float("inf")}):
         with pytest.raises(DomainError):
             search(**kwargs)
+
+
+def test_amplitude_bound_fires_before_any_start_is_allocated(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a start was allocated")
+
+    monkeypatch.setattr(ascent, "random_state", forbidden)
+    monkeypatch.setattr(ascent, "ascend", forbidden)
+    side = round(ascent.MAX_AMPLITUDES ** 0.25)
+    assert side**4 == ascent.MAX_AMPLITUDES
+    for dims in ((side + 1,) * 4, (1000,) * 4, (2**20, 2**20)):
+        with pytest.raises(DomainError, match="amplitudes"):
+            minimize_deviation(dims, restarts=1)
+    with pytest.raises(AssertionError, match="allocated"):
+        minimize_deviation((side,) * 4, restarts=1)
 
 
 def test_every_criterion_5_restart_converges_on_the_floor():

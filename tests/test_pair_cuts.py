@@ -105,7 +105,7 @@ def test_cut_spectra_equal_both_complementary_pair_spectra(dims):
     for keep, lam in zip(FOUR_PARTY_CUT_ROWS, spectra):
         other = tuple(a for a in range(4) if a not in keep)
         for pair in (keep, other):
-            expected = np.linalg.eigvalsh(partial_trace(s, pair).entries)
+            expected = np.linalg.eigvalsh(partial_trace(s, pair))
             assert np.max(np.abs(lam - expected)) < 1e-12
 
 
