@@ -150,7 +150,8 @@ def _finite_difference_gradient(amps: np.ndarray, dims, h: float) -> np.ndarray:
             minus = amps.copy()
             plus[i] += unit * h
             minus[i] -= unit * h
-            diff = (ascent.avg_entropy_raw(plus, dims) - ascent.avg_entropy_raw(minus, dims)) / (2.0 * h)
+            diff = (ascent.value_and_gradient_raw(plus, dims)[0]
+                    - ascent.value_and_gradient_raw(minus, dims)[0]) / (2.0 * h)
             g[i] += unit * diff
     return g
 

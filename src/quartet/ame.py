@@ -102,8 +102,8 @@ def minimize_deviation(dims, restarts: int = 50, seed: int = 0, max_iters: int =
     dims = _check_equal_dims(dims)
     _cuts(dims)
     records, finals, best = multistart(
-        deviation_value_raw, deviation_value_and_gradient_raw, dims, restarts=restarts, seed=seed,
-        max_iters=max_iters, grad_tol=grad_tol, start=start, minimize=True,
+        deviation_value_and_gradient_raw, dims, restarts=restarts, seed=seed, max_iters=max_iters,
+        grad_tol=grad_tol, start=start, minimize=True,
     )
     record = records[best]
     state = PureState(dims, finals[best])

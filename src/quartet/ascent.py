@@ -10,6 +10,7 @@ and retracts by renormalization.
 """
 
 import collections
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,12 +47,6 @@ def _check_state(s: PureState):
 def _mean_pair_entropy(lam: np.ndarray) -> float:
     # Six pairs, three cut spectra (complementary pairs share one), entropies add.
     return float(eigenvalue_entropy(lam.reshape(-1))) / 3.0
-
-
-def avg_entropy_raw(amps: np.ndarray, dims) -> float:
-    """Mean pair entropy of the raw amplitudes, with no normalization check."""
-    _, rho = pair_cuts(amps, dims, FOUR_PARTY_CUT_ROWS)
-    return _mean_pair_entropy(np.linalg.eigvalsh(rho))
 
 
 def value_and_gradient_raw(amps: np.ndarray, dims):
@@ -93,8 +88,7 @@ class AscentOutcome:
     iterations: int
     converged: bool
     stop_reason: str
-    value_evals: int
-    gradient_evals: int
+    evaluations: int
 
 
 def _real(z):
@@ -124,15 +118,16 @@ def _lbfgs_direction(grad, pairs):
     return r
 
 
-def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOutcome:
+def ascend(value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOutcome:
     """Riemannian L-BFGS ascent on the unit sphere with a backtracking line search.
 
     The direction comes from the last ``MEMORY`` curvature pairs, each a step
     and the fall of the tangent gradient along it, both projected onto the
     tangent space of the point the step reached; a pair with Re<s, y> <= 0 is
     skipped, and a direction that does not ascend clears the memory.  The first
-    trial step is min(1, 1/|g|) on an empty memory and 1 otherwise; a trial is
-    accepted when its value gains at least ARMIJO * step * slope.  A trial
+    trial step is min(1, 1/|g|) on an empty memory and 1 otherwise.  Each trial
+    makes one ``value_grad_fn`` call, and its value and gradient decide it: it
+    is accepted when its value gains at least ARMIJO * step * slope.  A trial
     whose value ties the current one within ``TIE_ULPS`` units in the last
     place shows no gain at the objective's resolution, so its slope decides:
     it is accepted while the slope is at least -WOLFE_SLOPE times the initial
@@ -142,23 +137,22 @@ def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -
 
     ``stop_reason`` names the exit: ``converged`` (tangent gradient norm below
     ``grad_tol``, at whichever exit), ``line_search_failed`` (no step above
-    ``MIN_STEP`` is acceptable), ``stalled_at_resolution`` (50 accepted steps
-    in a row gained nothing) or ``max_iters``.  ``value_evals`` counts the
-    line-search trials and ``gradient_evals`` the calls of ``value_grad_fn``.
+    ``MIN_STEP`` is acceptable) or ``max_iters``.  ``evaluations`` counts the
+    ``value_grad_fn`` calls: the start and one per trial, so
+    ``evaluations - iterations - 1`` trials were rejected.
     """
     x = np.asarray(amps0, dtype=complex).reshape(-1)
     x = _real(x / np.linalg.norm(x))
     value, grad = value_grad_fn(x.view(complex))
     tangent = _tangent(x, _real(grad))
     gnorm = math.sqrt(tangent @ tangent)
-    value_evals, gradient_evals = 0, 1
+    evaluations = 1
     pairs = collections.deque(maxlen=MEMORY)
-    stagnant = 0
 
     def stopped(iterations, reason):
         converged = gnorm < grad_tol
         return AscentOutcome(x.view(complex), value, gnorm, iterations, converged,
-                             "converged" if converged else reason, value_evals, gradient_evals)
+                             "converged" if converged else reason, evaluations)
 
     for iteration in range(max_iters):
         if gnorm < grad_tol:
@@ -172,40 +166,28 @@ def ascend(value_fn, value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -
         slope = tangent @ direction
         t = INITIAL_STEP if pairs else min(INITIAL_STEP, 1.0 / gnorm)
         tie = TIE_ULPS * math.ulp(value)
-        trial = None
         while t >= MIN_STEP:
             candidate = x + t * direction
             scale = math.sqrt(candidate @ candidate)
             candidate /= scale
-            cand_value = value_fn(candidate.view(complex))
-            value_evals += 1
-            if cand_value >= value + ARMIJO * t * slope:
-                trial = value_grad_fn(candidate.view(complex))
-                gradient_evals += 1
+            cand_value, cand_grad = value_grad_fn(candidate.view(complex))
+            evaluations += 1
+            new_tangent = _tangent(candidate, _real(cand_grad))
+            # Slope along the retraction at t: Re<P g, d> / |x + t d|.
+            if cand_value >= value + ARMIJO * t * slope or (
+                    abs(cand_value - value) <= tie
+                    and new_tangent @ direction / scale >= -WOLFE_SLOPE * slope):
                 break
-            if abs(cand_value - value) <= tie:
-                tied = value_grad_fn(candidate.view(complex))
-                gradient_evals += 1
-                # Slope along the retraction at t: Re<P g, d> / |x + t d|.
-                if _tangent(candidate, _real(tied[1])) @ direction / scale >= -WOLFE_SLOPE * slope:
-                    trial = tied
-                    break
             t *= BACKTRACK
-        if trial is None:
+        else:
             return stopped(iteration, "line_search_failed")
-        # Near the objective's floating-point resolution accepted steps can tie
-        # forever; a long run of them means the search has hit that resolution.
-        stagnant = stagnant + 1 if cand_value <= value else 0
-        new_tangent = _tangent(candidate, _real(trial[1]))
         step = _tangent(candidate, t * direction)
         fall = _tangent(candidate, tangent) - new_tangent
         curvature = step @ fall
         if curvature > 0:
             pairs.append((step, fall, 1.0 / curvature))
-        x, value, tangent = candidate, trial[0], new_tangent
+        x, value, tangent = candidate, cand_value, new_tangent
         gnorm = math.sqrt(tangent @ tangent)
-        if stagnant >= 50:
-            return stopped(iteration + 1, "stalled_at_resolution")
     return stopped(max_iters, "max_iters")
 
 
@@ -221,7 +203,8 @@ def haar_starts(dims, restarts: int, seed: int, start: PureState = None):
 class RestartRecord:
     """What one start of a multi-start search did; ``value`` has the objective's own sign.
 
-    ``value_evals`` counts line-search trials and ``gradient_evals`` value-and-gradient calls.
+    ``evaluations`` counts objective calls: the start and one per line-search
+    trial, so ``evaluations - iterations - 1`` trials were rejected.
     """
 
     restart: int
@@ -230,25 +213,26 @@ class RestartRecord:
     iterations: int
     converged: bool
     stop_reason: str
-    value_evals: int
-    gradient_evals: int
+    evaluations: int
 
 
-def multistart(value_fn, value_grad_fn, dims, *, restarts: int, seed: int, max_iters: int,
+def multistart(value_grad_fn, dims, *, restarts: int, seed: int, max_iters: int,
                grad_tol: float, start: PureState = None, minimize: bool = False) -> tuple:
     """Run ``ascend`` from an optional explicit ``start`` and ``restarts`` Haar starts.
 
-    ``value_fn(amps, dims)`` and ``value_grad_fn(amps, dims)`` are a raw
-    objective and its Euclidean gradient, negated for the ascent if
-    ``minimize``.  ``restarts`` may be 0 only with a ``start``, ``grad_tol``
-    must be positive and finite, and a state may have at most
-    ``MAX_AMPLITUDES`` amplitudes; all are checked before any start is drawn.
-    Returns one ``RestartRecord`` and one final amplitude vector per start,
+    ``value_grad_fn(amps, dims)`` returns a raw objective and its Euclidean
+    gradient, negated for the ascent if ``minimize``.  Every local dimension
+    must be an integer of at least 2, ``restarts`` may be 0 only with a
+    ``start``, ``grad_tol`` must be positive and finite, and a state may have
+    at most ``MAX_AMPLITUDES`` amplitudes; all are checked before any start is
+    drawn.  Returns one ``RestartRecord`` and one final amplitude vector per start,
     and the index of the best start (the earliest wins ties).
     """
     check_count("max_iters", max_iters, 1)
     if not 0 < grad_tol < math.inf:
         raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
+    for d in dims:
+        check_count("local dimension", d, 2)
     if math.prod(dims) > MAX_AMPLITUDES:
         raise DomainError(f"states of more than {MAX_AMPLITUDES} amplitudes are not supported")
     check_count("restarts", restarts, 0 if start is not None else 1)
@@ -259,18 +243,15 @@ def multistart(value_fn, value_grad_fn, dims, *, restarts: int, seed: int, max_i
     def signed(x):
         return -x if minimize else x
 
-    def value(amps):
-        return signed(value_fn(amps, dims))
-
     def value_grad(amps):
         v, g = value_grad_fn(amps, dims)
         return signed(v), signed(g)
 
-    outcomes = [ascend(value, value_grad, amps0, grad_tol=grad_tol, max_iters=max_iters)
+    outcomes = [ascend(value_grad, amps0, grad_tol=grad_tol, max_iters=max_iters)
                 for amps0 in haar_starts(dims, restarts, seed, start)]
     best = max(range(len(outcomes)), key=lambda i: (outcomes[i].value, -i))
     records = [RestartRecord(r, signed(o.value), o.grad_norm, o.iterations, o.converged,
-                             o.stop_reason, o.value_evals, o.gradient_evals)
+                             o.stop_reason, o.evaluations)
                for r, o in enumerate(outcomes)]
     return records, [o.amps for o in outcomes], best
 
@@ -292,14 +273,9 @@ class OptReport:
                 for r in self.fingerprint_residuals]
 
 
-_M4_FINGERPRINT = None
-
-
+@functools.cache
 def _m4_fingerprint():
-    global _M4_FINGERPRINT
-    if _M4_FINGERPRINT is None:
-        _M4_FINGERPRINT = profile(catalog.make("M4")).sorted_entries()
-    return _M4_FINGERPRINT
+    return profile(catalog.make("M4")).sorted_entries()
 
 
 def maximize(*, restarts: int = 20, seed: int = 0, max_iters: int = 10_000,
@@ -311,7 +287,7 @@ def maximize(*, restarts: int = 20, seed: int = 0, max_iters: int = 10_000,
     is prepended as restart 0.
     """
     records, finals, best = multistart(
-        avg_entropy_raw, value_and_gradient_raw, FOUR_QUBITS, restarts=restarts, seed=seed,
+        value_and_gradient_raw, FOUR_QUBITS, restarts=restarts, seed=seed,
         max_iters=max_iters, grad_tol=grad_tol, start=start,
     )
     states = [PureState(FOUR_QUBITS, amps) for amps in finals]

@@ -118,7 +118,7 @@ def _cmd_ame(args):
         "iters": report.iterations,
         "grad_norm": report.grad_norm,
         "converged": report.converged,
-        "restarts": [asdict(r) for r in report.restarts],
+        "manifest": {"stats": {"restarts": [asdict(r) for r in report.restarts]}},
     }
     code = 0
     if args.strict and not report.converged:
@@ -139,8 +139,9 @@ def _cmd_maximize(args):
         "best_grad_norm": report.best_grad_norm,
         "best_restart": report.best_restart,
         "best_state": state_to_json(report.best_state),
-        "restarts": [{**asdict(r), "classification": label, "fingerprint_residual": residual}
-                     for r, label, residual in rows],
+        "manifest": {"stats": {"restarts": [
+            {**asdict(r), "classification": label, "fingerprint_residual": residual}
+            for r, label, residual in rows]}},
     }
     code = 0
     if args.strict and not report.restarts[report.best_restart].converged:

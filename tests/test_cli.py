@@ -216,7 +216,7 @@ def test_maximize_strict_flags_nonconvergence(capsys):
         ["maximize", "--restarts", "1", "--max-iters", "2", "--strict", "--seed", "0"],
     )
     assert code == 1
-    assert payload is not None and not payload["restarts"][0]["converged"]
+    assert payload is not None and not payload["manifest"]["stats"]["restarts"][0]["converged"]
     assert "error:" in err
 
 
@@ -237,17 +237,19 @@ def test_bad_optimizer_input_is_a_domain_error(capsys, argv):
 
 
 RECORD_KEYS = {"restart", "value", "grad_norm", "iterations", "converged", "stop_reason",
-               "value_evals", "gradient_evals"}
+               "evaluations"}
 
 
 def test_optimizer_restarts_report_stop_reasons(capsys):
     flags = ["--restarts", "2", "--seed", "0", "--max-iters", "40"]
     _, low, _ = run_cli(capsys, ["ame", *flags])
     _, high, _ = run_cli(capsys, ["maximize", *flags])
-    assert [set(r) for r in low["restarts"]] == [RECORD_KEYS] * 2
-    assert [set(r) for r in high["restarts"]] == [
+    assert "restarts" not in low and "restarts" not in high
+    low, high = low["manifest"]["stats"]["restarts"], high["manifest"]["stats"]["restarts"]
+    assert [set(r) for r in low] == [RECORD_KEYS] * 2
+    assert [set(r) for r in high] == [
         RECORD_KEYS | {"classification", "fingerprint_residual"}] * 2
-    for record in low["restarts"] + high["restarts"]:
+    for record in low + high:
         assert record["converged"] == (record["stop_reason"] == "converged")
 
 

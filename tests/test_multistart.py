@@ -1,7 +1,7 @@
 """The one multi-start driver behind ``maximize`` and ``minimize_deviation``."""
 
-import collections
 import functools
+import itertools
 import math
 import types
 
@@ -14,7 +14,6 @@ from quartet.ascent import (
     AscentOutcome,
     RestartRecord,
     ascend,
-    avg_entropy_raw,
     haar_starts,
     maximize,
     multistart,
@@ -25,7 +24,7 @@ from quartet.core import DomainError, PureState
 from quartet.entropy import fingerprint_residual, profile
 
 DIMS = (2, 2, 2, 2)
-STOP_REASONS = {"converged", "line_search_failed", "stalled_at_resolution", "max_iters"}
+STOP_REASONS = {"converged", "line_search_failed", "max_iters"}
 
 
 # A test-only copy of the two restart loops the driver replaced, each calling
@@ -45,12 +44,7 @@ def _sequential_maximize(seed, restarts, max_iters):
     fingerprint = profile(make("M4")).sorted_entries()
     records, states = [], []
     for r, amps0 in enumerate(_sequential_starts(16, restarts, seed)):
-        outcome = ascend(
-            lambda a: avg_entropy_raw(a, DIMS),
-            lambda a: value_and_gradient_raw(a, DIMS),
-            amps0,
-            max_iters=max_iters,
-        )
+        outcome = ascend(lambda a: value_and_gradient_raw(a, DIMS), amps0, max_iters=max_iters)
         state = PureState(DIMS, outcome.amps)
         residual = fingerprint_residual(profile(state), fingerprint)
         records.append((r, outcome.value, outcome.grad_norm, outcome.iterations,
@@ -61,16 +55,13 @@ def _sequential_maximize(seed, restarts, max_iters):
 
 
 def _sequential_minimize(dims, restarts, seed, max_iters):
-    def value_fn(a):
-        return -deviation_value_raw(a, dims)
-
     def value_grad_fn(a):
         v, g = deviation_value_and_gradient_raw(a, dims)
         return -v, -g
 
     records, best = [], None
     for r, amps0 in enumerate(_sequential_starts(math.prod(dims), restarts, seed)):
-        outcome = ascend(value_fn, value_grad_fn, amps0, max_iters=max_iters)
+        outcome = ascend(value_grad_fn, amps0, max_iters=max_iters)
         value = -outcome.value
         records.append((r, value, outcome.grad_norm, outcome.iterations, outcome.converged))
         if best is None or value < best[0]:
@@ -120,31 +111,32 @@ def test_both_searches_share_one_record_type():
         assert record.converged == (record.stop_reason == "converged")
 
 
-def _phase_gradient(size):
-    """A gradient of norm ``size`` along the phase direction i*a at every normalized a.
+def _phase_gradient(size, values):
+    """An objective whose gradient has norm ``size`` along the phase direction i*a.
 
-    Moving along it changes no value, so a search on a constant objective keeps
-    taking tied steps.
+    Moving along it changes no state, so only ``values``, one per call,
+    decide each trial.
     """
     def value_grad(amps, dims=None):
-        return 1.0, 1j * size * amps
+        return next(values), 1j * size * amps
     return value_grad
 
 
-def _hand_built(value, restarts):
-    """Records of a multi-start run on a constant objective with a phase gradient of 1e-6."""
-    records, _, _ = multistart(lambda amps, dims: value, _phase_gradient(1e-6), DIMS,
-                               restarts=restarts, seed=0, max_iters=500, grad_tol=1e-8)
-    return types.SimpleNamespace(restarts=records)
+def _flat(size):
+    """A constant value: every trial ties and keeps its slope."""
+    return _phase_gradient(size, itertools.repeat(1.0))
+
+
+def _falling(size):
+    """A value that falls by 1 at every call: every trial is refused."""
+    return _phase_gradient(size, itertools.count(0.0, -1.0))
 
 
 @pytest.mark.parametrize("reason, run, restart", [
     ("converged", lambda: maximize(restarts=0, start=make("C4")), 0),
     ("max_iters", lambda: maximize(restarts=1, seed=0, max_iters=1), 0),
-    # Every trial value lies below the value the gradient call reported.
-    ("line_search_failed", lambda: _hand_built(0.0, restarts=2), 1),
-    # Every trial ties the current value exactly.
-    ("stalled_at_resolution", lambda: _hand_built(1.0, restarts=1), 0),
+    ("line_search_failed", lambda: types.SimpleNamespace(restarts=multistart(
+        _falling(1e-6), DIMS, restarts=2, seed=0, max_iters=500, grad_tol=1e-8)[0]), 1),
 ])
 def test_each_stop_reason_is_reported(reason, run, restart):
     record = run().restarts[restart]
@@ -160,16 +152,15 @@ def test_each_stop_reason_is_reported(reason, run, restart):
 
 def test_stop_reason_follows_the_final_gradient_at_every_exit():
     # A flat objective whose gradient is tiny but above tolerance: every trial
-    # step ties, and the run stalls after 50 tied steps unless the tolerance
-    # already counts it converged.
-    flat = _phase_gradient(1e-9)
+    # ties and keeps its slope, so the run takes steps until max_iters unless
+    # the tolerance already counts it converged.
     start = make("C4").amps
-    stalled = ascend(lambda a: 1.0, flat, start, grad_tol=1e-12)
-    assert (stalled.stop_reason, stalled.converged, stalled.iterations) == (
-        "stalled_at_resolution", False, 50)
-    settled = ascend(lambda a: 1.0, flat, start, grad_tol=1e-6)
+    flat = ascend(_flat(1e-9), start, grad_tol=1e-12, max_iters=20)
+    assert (flat.stop_reason, flat.converged, flat.iterations, flat.evaluations) == (
+        "max_iters", False, 20, 21)
+    settled = ascend(_flat(1e-9), start, grad_tol=1e-6, max_iters=20)
     assert (settled.stop_reason, settled.converged, settled.iterations) == ("converged", True, 0)
-    refused = ascend(lambda a: 0.0, flat, start, grad_tol=1e-12)
+    refused = ascend(_falling(1e-9), start, grad_tol=1e-12)
     assert (refused.stop_reason, refused.converged) == ("line_search_failed", False)
 
 
@@ -181,9 +172,9 @@ def test_starts_are_drawn_when_their_restart_runs(monkeypatch):
         draws.append(seed)
         return real_rng(seed)
 
-    def recording_ascend(value_fn, value_grad_fn, amps0, **kwargs):
+    def recording_ascend(value_grad_fn, amps0, **kwargs):
         drawn_before_each_descent.append(len(draws))
-        return AscentOutcome(np.asarray(amps0), 0.0, 0.0, 0, True, "converged", 0, 1)
+        return AscentOutcome(np.asarray(amps0), 0.0, 0.0, 0, True, "converged", 1)
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     first = next(haar_starts(DIMS, 10**12, 7))
@@ -192,8 +183,7 @@ def test_starts_are_drawn_when_their_restart_runs(monkeypatch):
 
     draws.clear()
     monkeypatch.setattr(ascent, "ascend", recording_ascend)
-    multistart(avg_entropy_raw, value_and_gradient_raw, DIMS, restarts=3, seed=7,
-               max_iters=10, grad_tol=1e-8)
+    multistart(value_and_gradient_raw, DIMS, restarts=3, seed=7, max_iters=10, grad_tol=1e-8)
     assert drawn_before_each_descent == [1, 2, 3]
 
 
@@ -228,15 +218,16 @@ def test_amplitude_bound_fires_before_any_start_is_allocated(monkeypatch):
     for dims in ((side + 1,) * 4, (1000,) * 4, (2**20, 2**20)):
         with pytest.raises(DomainError, match="amplitudes"):
             minimize_deviation(dims, restarts=1)
+    for dims in ((2.5, 2.5), (2.0,) * 4):
+        with pytest.raises(DomainError, match="local dimension"):
+            minimize_deviation(dims, restarts=1)
     with pytest.raises(AssertionError, match="allocated"):
         minimize_deviation((side,) * 4, restarts=1)
 
 
 def test_every_criterion_5_restart_converges_on_the_floor():
-    records, finals, _ = multistart(
-        deviation_value_raw, deviation_value_and_gradient_raw, DIMS, restarts=50, seed=0,
-        max_iters=5000, grad_tol=1e-8, minimize=True,
-    )
+    records, finals, _ = multistart(deviation_value_and_gradient_raw, DIMS, restarts=50, seed=0,
+                                    max_iters=5000, grad_tol=1e-8, minimize=True)
     for record, amps in zip(records, finals):
         assert (record.stop_reason, record.converged) == ("converged", True)
         assert abs(record.value - 4.0) <= 1e-9
@@ -263,29 +254,38 @@ def test_seeded_reruns_are_bitwise_identical(search, state):
 
 
 def test_restart_records_count_every_evaluation():
-    calls = collections.Counter()
-
-    def value(amps, dims):
-        calls["value"] += 1
-        return deviation_value_raw(amps, dims)
+    calls = []
 
     def value_grad(amps, dims):
-        calls["gradient"] += 1
+        calls.append(None)
         return deviation_value_and_gradient_raw(amps, dims)
 
-    records, _, _ = multistart(value, value_grad, DIMS, restarts=3, seed=0, max_iters=5000,
+    records, _, _ = multistart(value_grad, DIMS, restarts=3, seed=0, max_iters=5000,
                                grad_tol=1e-8, minimize=True)
-    assert calls == {"value": sum(r.value_evals for r in records),
-                     "gradient": sum(r.gradient_evals for r in records)}
+    assert len(calls) == sum(r.evaluations for r in records)
+    # The start, one accepted trial per iteration, and the rejected trials.
+    assert all(r.evaluations > r.iterations + 1 for r in records)
+
+
+def test_maximize_makes_one_eigh_per_evaluation_and_no_eigvalsh_in_its_search(monkeypatch):
+    ascent._m4_fingerprint()
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name, found in shapes.items():
+        def counted(a, *args, _found=found, _original=getattr(np.linalg, name), **kwargs):
+            _found.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = maximize(restarts=3, seed=0)
+    assert shapes["eigh"] == [(3, 4, 4)] * sum(r.evaluations for r in report.restarts)
+    # Only the fingerprint of each final state reads spectra with eigvalsh.
+    assert shapes["eigvalsh"] == [(6, 4, 4)] * 3
 
 
 def test_deviation_descent_never_rises_by_more_than_the_tie():
-    # More value-and-gradient calls than accepted points means a trial tied.
-    starts = list(haar_starts(DIMS, 10, 0))
-    tied = [r for r in minimize_deviation(DIMS, restarts=10, seed=0).restarts
-            if r.gradient_evals > r.iterations + 1]
-    assert tied
-    for record in tied[:2]:
+    starts = list(haar_starts(DIMS, 2, 0))
+    rises = 0
+    for record in minimize_deviation(DIMS, restarts=2, seed=0).restarts:
         start = PureState(DIMS, starts[record.restart])
         # Capping a descent at k iterations returns its k-th accepted point.
         floors = [deviation_value_raw(start.amps, DIMS)] + [
@@ -295,15 +295,18 @@ def test_deviation_descent_never_rises_by_more_than_the_tie():
         assert floors[-1] == record.value
         for before, after in zip(floors, floors[1:]):
             assert after - before <= ascent.TIE_ULPS * math.ulp(before)
+            rises += after > before
+    # A step that rises fails the Armijo test, so only the tie test accepted it.
+    assert rises
 
 
-@pytest.mark.parametrize("fall_ulps, reversal, reason, evals", [
-    (16, 1.0, "max_iters", (1, 2)),
-    (17, 1.0, "line_search_failed", (40, 1)),
-    (16, -0.75, "max_iters", (1, 2)),
-    (16, -0.85, "line_search_failed", (40, 41)),
+@pytest.mark.parametrize("fall_ulps, reversal, reason, evaluations", [
+    (16, 1.0, "max_iters", 2),
+    (17, 1.0, "line_search_failed", 41),
+    (16, -0.75, "max_iters", 2),
+    (16, -0.85, "line_search_failed", 41),
 ], ids=["tie-kept-slope", "fall-past-the-tie", "tie-mild-reversal", "tie-steep-reversal"])
-def test_a_tied_trial_is_judged_by_its_slope(fall_ulps, reversal, reason, evals):
+def test_a_tied_trial_is_judged_by_its_slope(fall_ulps, reversal, reason, evaluations):
     # Every trial falls fall_ulps below the start's value 1.  The gradient lies
     # along the phase direction; after the start it is scaled by ``reversal``,
     # so the slope at a trial is about reversal times the initial slope.
@@ -311,9 +314,12 @@ def test_a_tied_trial_is_judged_by_its_slope(fall_ulps, reversal, reason, evals)
 
     def value_grad(amps):
         calls.append(None)
-        return 1.0, (1.0 if len(calls) == 1 else reversal) * 1e-6j * amps
+        if len(calls) == 1:
+            return 1.0, 1e-6j * amps
+        return 1.0 - fall_ulps * math.ulp(1.0), reversal * 1e-6j * amps
 
-    outcome = ascend(lambda amps: 1.0 - fall_ulps * math.ulp(1.0), value_grad,
-                     make("C4").amps, max_iters=1)
+    outcome = ascend(value_grad, make("C4").amps, max_iters=1)
     assert outcome.stop_reason == reason
-    assert (outcome.value_evals, outcome.gradient_evals) == evals
+    assert outcome.evaluations == len(calls) == evaluations
+    # A refused search rejects each of its 40 trials, from step 1 down to MIN_STEP.
+    assert outcome.evaluations - outcome.iterations - 1 == (0 if reason == "max_iters" else 40)
