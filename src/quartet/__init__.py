@@ -25,13 +25,12 @@ from .core import (
     state_from_json,
     state_to_json,
 )
-from .entropy import EntropyProfile, entropy, fingerprint_match, fingerprint_residual, pair_entropies, profile
+from .entropy import EntropyProfile, fingerprint_match, fingerprint_residual, pair_entropies, profile
 from .measure import (
     MeasurementBasis,
     MeasurementOutcome,
     computational_basis,
     equivariance_overlap,
-    measure,
     plus_minus_basis,
     random_basis,
     robustness_report,

@@ -6,9 +6,11 @@ stationarity at |M4>, the multi-start entropy search landing on the |M4>
 profile, the strictly positive four-qubit deviation floor, canonical-form
 convergence, measurement robustness, and a cross-module invariant sweep.
 
-``run_all`` executes the checks in order and returns one CriterionResult per
-check; the ``verify`` CLI subcommand prints a pass/fail line for each.  Every
-check also carries a wall-clock budget and fails if it runs over.
+``run_all`` runs the checks in order and yields one CriterionResult per check
+as soon as it finishes; the ``verify`` CLI subcommand iterates it, printing a
+PASS or FAIL line for each result as it arrives and then one JSON verdict
+(each result through ``dataclasses.asdict``).  Every check also carries a
+wall-clock budget and fails if it runs over.
 """
 
 from __future__ import annotations
@@ -63,16 +65,6 @@ class CriterionResult:
     details: str
     duration_seconds: float
     budget_seconds: float
-
-    def to_json(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-            "duration_seconds": self.duration_seconds,
-            "budget_seconds": self.budget_seconds,
-        }
 
 
 def format_line(r: CriterionResult) -> str:
@@ -367,5 +359,7 @@ def run_one(number: int) -> CriterionResult:
     raise ValueError(f"no criterion numbered {number}")
 
 
-def run_all() -> list:
-    return [run_one(num) for num, _, _, _ in _CRITERIA]
+def run_all():
+    """Run every criterion in order, yielding each CriterionResult as it finishes."""
+    for num, _, _, _ in _CRITERIA:
+        yield run_one(num)

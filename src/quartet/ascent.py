@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog
-from .entropy import FINGERPRINT_TOL, eigenvalue_entropy, fingerprint_residual, profile
+from .entropy import EIG_FLOOR, FINGERPRINT_TOL, eigenvalue_entropy, fingerprint_residual, profile
 from .core import (FOUR_PARTY_CUT_ROWS, DomainError, PureState, ShapeError, check_count,
                    check_normalized, pair_cuts, random_state, scatter_cuts)
 
-SPECTRAL_FLOOR = 1e-12  # eigenvalue clamp inside the gradient's logarithm
 # Line search: largest first trial step, backtracking factor, smallest step, Armijo coefficient.
 INITIAL_STEP = 1.0
 BACKTRACK = 0.5
@@ -55,13 +54,13 @@ def value_and_gradient_raw(amps: np.ndarray, dims):
     The directional derivative along ds is Re <ds|g>.  A pair's entropy term
     contributes -2 L M to its cut, with L = log2(rho) + I/ln 2 on the row pair;
     since f(M M^dagger) M = M f(M^dagger M) for a square M, the column pair
-    contributes the same.  Eigenvalues are clamped at ``SPECTRAL_FLOOR`` inside
+    contributes the same.  Eigenvalues are clamped at ``EIG_FLOOR`` inside
     the logarithm; for a pure-state reduction the kernel eigenvectors never
     overlap the state, so the clamp only guards round-off.
     """
     m, rho = pair_cuts(amps, dims, FOUR_PARTY_CUT_ROWS)
     lam, vec = np.linalg.eigh(rho)
-    weights = np.log2(np.maximum(lam, SPECTRAL_FLOOR)) + _INV_LN2
+    weights = np.log2(np.maximum(lam, EIG_FLOOR)) + _INV_LN2
     log_term = (vec * weights[:, None, :]) @ vec.conj().transpose(0, 2, 1)
     g = scatter_cuts(log_term @ m, dims, FOUR_PARTY_CUT_ROWS)
     return _mean_pair_entropy(lam), (-4.0 / 6.0) * g

@@ -6,8 +6,14 @@ Re-running with the same parameters and seed reproduces every numeric field
 bitwise; only the duration varies.  ``-`` names standard input wherever a state
 file is expected, so subcommands compose under a shell pipe.
 
+``dispatch`` does every subcommand's input work once: it resolves and checks
+the seed, and reads and validates the state file, before the subcommand's
+handler runs.  A handler returns its payload and, when its search fell short,
+the reason, which ``--strict`` turns into an ``error:`` line and exit code 1.
+
 Exit codes: 0 on success, 1 on domain errors (malformed state files, unknown
-catalog tags, non-convergence under ``--strict``), 2 on usage errors.
+catalog tags, non-convergence under ``--strict``, a failed ``verify``
+criterion), 2 on usage errors.
 """
 
 import argparse
@@ -19,18 +25,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, acceptance, ascent, canonical, catalog
+from . import __version__, acceptance, ascent, canonical, catalog, entropy, measure
 from . import ame as ame_mod
 from .core import DomainError, ShapeError, check_count, party_index, state_from_json, state_to_json
-from .entropy import profile
-from .measure import (
-    computational_basis,
-    measure,
-    plus_minus_basis,
-    random_basis,
-    residual_pair_entropies,
-    robustness_report,
-)
 
 _BASIS_NAMES = ("computational", "plusminus", "random")
 
@@ -49,9 +46,8 @@ def _read_state(path: str):
     return state_from_json(payload)
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(seed) -> int:
     """Explicit --seed wins; otherwise ENTANGLE_SEED; otherwise 0.  Seeds are non-negative."""
-    seed = args.seed
     if seed is None:
         env = os.environ.get("ENTANGLE_SEED", "0")
         try:
@@ -76,18 +72,15 @@ def _dims_arg(text: str) -> tuple:
     return dims
 
 
-def _cmd_catalog(args):
-    return state_to_json(catalog.make(args.tag)), 0
+def _cmd_catalog(args, _):
+    return state_to_json(catalog.make(args.tag)), None
 
 
-def _cmd_entropy(args):
-    s = _read_state(args.statefile)
-    return profile(s).to_json(), 0
+def _cmd_profile(args, s):
+    return entropy.profile(s).to_json(), None
 
 
-def _cmd_canonicalize(args):
-    args.seed = _resolve_seed(args)
-    s = _read_state(args.statefile)
+def _cmd_canonicalize(args, s):
     form = canonical.canonicalize(s, restarts=args.restarts, seed=args.seed)
     payload = {
         "state": state_to_json(form.state),
@@ -98,16 +91,13 @@ def _cmd_canonicalize(args):
         "sweeps": form.sweeps,
         "manifest": {"stats": {"restarts": [asdict(r) for r in form.restarts]}},
     }
-    code = 0
-    if args.strict and not form.converged:
-        print(f"error: canonicalization residual {form.zero_residual:.3e} above tolerance",
-              file=sys.stderr)
-        code = 1
-    return payload, code
+    failure = None
+    if not form.converged:
+        failure = f"canonicalization residual {form.zero_residual:.3e} above tolerance"
+    return payload, failure
 
 
-def _cmd_ame(args):
-    args.seed = _resolve_seed(args)
+def _cmd_ame(args, _):
     report = ame_mod.minimize_deviation(
         args.dims, restarts=args.restarts, seed=args.seed, max_iters=args.max_iters
     )
@@ -120,16 +110,13 @@ def _cmd_ame(args):
         "converged": report.converged,
         "manifest": {"stats": {"restarts": [asdict(r) for r in report.restarts]}},
     }
-    code = 0
-    if args.strict and not report.converged:
-        print("error: best deviation restart did not reach the gradient tolerance",
-              file=sys.stderr)
-        code = 1
-    return payload, code
+    failure = None
+    if not report.converged:
+        failure = "best deviation restart did not reach the gradient tolerance"
+    return payload, failure
 
 
-def _cmd_maximize(args):
-    args.seed = _resolve_seed(args)
+def _cmd_maximize(args, _):
     report = ascent.maximize(
         restarts=args.restarts, seed=args.seed, max_iters=args.max_iters, grad_tol=args.grad_tol
     )
@@ -143,41 +130,34 @@ def _cmd_maximize(args):
             {**asdict(r), "classification": label, "fingerprint_residual": residual}
             for r, label, residual in rows]}},
     }
-    code = 0
-    if args.strict and not report.restarts[report.best_restart].converged:
-        print("error: best ascent restart did not reach the gradient tolerance",
-              file=sys.stderr)
-        code = 1
-    return payload, code
+    failure = None
+    if not report.restarts[report.best_restart].converged:
+        failure = "best ascent restart did not reach the gradient tolerance"
+    return payload, failure
 
 
-def _cmd_stationarity(args):
-    s = _read_state(args.statefile)
-    return ascent.stationarity_report(s), 0
+def _cmd_stationarity(args, s):
+    return ascent.stationarity_report(s), None
 
 
-def _cmd_measure(args):
-    args.seed = _resolve_seed(args)
-    s = _read_state(args.statefile)
+def _cmd_measure(args, s):
     party = party_index(args.party, s.n_parties)
     d = s.dims[party]
     if args.basis == "computational":
-        basis = computational_basis(party, d)
+        basis = measure.computational_basis(party, d)
     elif args.basis == "plusminus":
         if d != 2:
             raise DomainError(f"plusminus basis needs a two-level party, dim is {d}")
-        basis = plus_minus_basis(party)
+        basis = measure.plus_minus_basis(party)
     else:
-        basis = random_basis(party, d, np.random.default_rng([args.seed, party]))
+        basis = measure.random_basis(party, d, np.random.default_rng([args.seed, party]))
     outcomes = []
-    for outcome in measure(s, basis):
-        row = {"outcome": outcome.index, "probability": outcome.probability}
-        if outcome.residual is None:
-            row["residual"] = None
-            row["pair_entropies"] = None
-        else:
+    for outcome in measure.measure(s, basis):
+        row = {"outcome": outcome.index, "probability": outcome.probability,
+               "residual": None, "pair_entropies": None}
+        if outcome.residual is not None:
             row["residual"] = state_to_json(outcome.residual)
-            row["pair_entropies"] = residual_pair_entropies(
+            row["pair_entropies"] = measure.residual_pair_entropies(
                 outcome.residual, party, s.n_parties
             )
         outcomes.append(row)
@@ -187,26 +167,21 @@ def _cmd_measure(args):
         "basis_vectors": _matrix_json(basis.vectors),
         "outcomes": outcomes,
     }
-    return payload, 0
+    return payload, None
 
 
-def _cmd_robustness(args):
-    args.seed = _resolve_seed(args)
-    s = _read_state(args.statefile)
-    return robustness_report(s, trials=args.trials, seed=args.seed), 0
+def _cmd_robustness(args, s):
+    return measure.robustness_report(s, trials=args.trials, seed=args.seed), None
 
 
-def _cmd_verify(args):
-    results = []
-    for number in range(1, len(acceptance.criteria_names()) + 1):
-        r = acceptance.run_one(number)
+def _cmd_verify(args, _):
+    criteria = []
+    for r in acceptance.run_all():
         print(acceptance.format_line(r), file=sys.stderr)
-        results.append(r)
-    payload = {
-        "criteria": [r.to_json() for r in results],
-        "all_passed": all(r.passed for r in results),
-    }
-    return payload, 0 if payload["all_passed"] else 1
+        criteria.append(asdict(r))
+    failed = [c["name"] for c in criteria if not c["passed"]]
+    payload = {"criteria": criteria, "all_passed": not failed}
+    return payload, f"criteria failed: {', '.join(failed)}" if failed else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: ENTANGLE_SEED or 0)")
+    stateful = argparse.ArgumentParser(add_help=False)
+    stateful.add_argument("statefile", help="state JSON path, or - for stdin")
 
     sub = parser.add_subparsers(dest="command", metavar="subcommand", required=True)
 
@@ -226,15 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tag", help="state tag, e.g. M4, C4, PSI_EXAMPLE, AME44")
     p.set_defaults(func=_cmd_catalog)
 
-    for name in ("entropy", "profile"):
-        p = sub.add_parser(name, parents=[common],
-                           help="six pair entropies and their average ('profile' is an alias)")
-        p.add_argument("statefile", help="state JSON path, or - for stdin")
-        p.set_defaults(func=_cmd_entropy)
+    p = sub.add_parser("profile", parents=[common, stateful],
+                       help="six pair entropies and their average")
+    p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("canonicalize", parents=[common, seeded],
+    p = sub.add_parser("canonicalize", parents=[common, seeded, stateful],
                        help="rotate the closest product state onto |0...0>")
-    p.add_argument("statefile", help="state JSON path, or - for stdin")
     p.add_argument("--restarts", type=int, default=canonical.DEFAULT_RESTARTS)
     p.add_argument("--strict", action="store_true",
                    help="exit 1 if the zero residual stays above tolerance")
@@ -259,21 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 if the best restart did not converge")
     p.set_defaults(func=_cmd_maximize)
 
-    p = sub.add_parser("stationarity", parents=[common],
+    p = sub.add_parser("stationarity", parents=[common, stateful],
                        help="value, tangent gradient norm, and radial coefficient")
-    p.add_argument("statefile", help="state JSON path, or - for stdin")
     p.set_defaults(func=_cmd_stationarity)
 
-    p = sub.add_parser("measure", parents=[common, seeded],
+    p = sub.add_parser("measure", parents=[common, seeded, stateful],
                        help="projective single-party measurement with residual profiles")
-    p.add_argument("statefile", help="state JSON path, or - for stdin")
     p.add_argument("--party", required=True, help="party letter (A, B, ...) or index")
     p.add_argument("--basis", choices=_BASIS_NAMES, default="computational")
     p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("robustness", parents=[common, seeded],
+    p = sub.add_parser("robustness", parents=[common, seeded, stateful],
                        help="residual entropy report over bases and parties")
-    p.add_argument("statefile", help="state JSON path, or - for stdin")
     p.add_argument("--trials", type=int, default=8, help="random bases per party")
     p.set_defaults(func=_cmd_robustness)
 
@@ -282,19 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     return parser
-
-
-def _manifest(args, seed, duration: float) -> dict:
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    if "dims" in params:
-        params["dims"] = list(params["dims"])
-    return {
-        "command": args.command,
-        "params": params,
-        "seed": seed,
-        "version": __version__,
-        "duration_seconds": duration,
-    }
 
 
 def dispatch(argv) -> int:
@@ -307,17 +265,31 @@ def dispatch(argv) -> int:
         return code if isinstance(code, int) else 2
     started = time.perf_counter()
     try:
-        payload, code = args.func(args)
+        if "seed" in args:
+            args.seed = _resolve_seed(args.seed)
+        state = _read_state(args.statefile) if "statefile" in args else None
+        payload, failure = args.func(args, state)
     except (DomainError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    payload = dict(payload)
-    manifest = _manifest(args, getattr(args, "seed", None), time.perf_counter() - started)
+    # verify has no --strict: a failed criterion always fails, its FAIL line already printed.
+    if failure is not None and "strict" in args:
+        if args.strict:
+            print(f"error: {failure}", file=sys.stderr)
+        else:
+            failure = None
+    manifest = {
+        "command": args.command,
+        "params": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+        "seed": vars(args).get("seed"),
+        "version": __version__,
+        "duration_seconds": time.perf_counter() - started,
+    }
     # A subcommand may add entries, such as per-restart stats, to the manifest.
     manifest.update(payload.pop("manifest", {}))
     payload["manifest"] = manifest
     print(json.dumps(payload, indent=2 if args.pretty else None))
-    return code
+    return 0 if failure is None else 1
 
 
 def main() -> None:

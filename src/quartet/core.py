@@ -163,10 +163,9 @@ def partial_trace(s: PureState, keep) -> np.ndarray:
     return reduced_matrix(s.amps, s.dims, keep)
 
 
-def apply_local_unitary(s: PureState, party: int, u) -> PureState:
-    """Apply a unitary to one party, leaving the others untouched."""
-    if party < 0 or party >= s.n_parties:
-        raise DomainError(f"party {party} out of range")
+def apply_local_unitary(s: PureState, party, u) -> PureState:
+    """Apply a unitary to one party (an index or a letter), leaving the others untouched."""
+    party = party_index(party, s.n_parties)
     d = s.dims[party]
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
@@ -201,7 +200,7 @@ def random_unitary(d: int, rng) -> np.ndarray:
 
 
 def party_index(party, n_parties: int) -> int:
-    """Resolve a party given as an index or a letter A, B, C, ..."""
+    """Resolve a party given as an integer index (not a bool) or a letter A, B, C, ..."""
     if isinstance(party, str):
         label = party.strip().upper()
         if len(label) == 1 and label in PARTY_LETTERS[:n_parties]:
@@ -210,6 +209,8 @@ def party_index(party, n_parties: int) -> int:
             party = int(label)
         else:
             raise DomainError(f"unknown party {party!r} for {n_parties} parties")
+    if isinstance(party, bool) or not isinstance(party, numbers.Integral):
+        raise DomainError(f"a party is an integer or a letter, got {party!r}")
     party = int(party)
     if party < 0 or party >= n_parties:
         raise DomainError(f"party {party} out of range for {n_parties} parties")

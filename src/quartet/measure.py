@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import unitary_from_first_column
-from .core import DomainError, PARTY_LETTERS, PureState, ShapeError, check_count, check_normalized
+from .core import (DomainError, PARTY_LETTERS, PureState, ShapeError, check_count,
+                   check_normalized, party_index)
 from .entropy import stacked_pair_entropies
 
 PROB_FLOOR = 1e-14
@@ -43,6 +44,8 @@ class MeasurementBasis:
         if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
             raise ShapeError(f"basis must be square, got shape {vectors.shape}")
         _check_orthonormal(vectors)
+        # The range check needs a state; _branches makes it.
+        check_count("party", self.party)
         vectors.setflags(write=False)
         object.__setattr__(self, "party", int(self.party))
         object.__setattr__(self, "vectors", vectors)
@@ -120,8 +123,9 @@ def _residual_pairs(party: int, n_parties: int) -> tuple:
     return remaining, [a + b for a, b in itertools.combinations(remaining, 2)]
 
 
-def residual_pair_entropies(residual: PureState, measured_party: int, n_parties: int) -> dict:
+def residual_pair_entropies(residual: PureState, measured_party, n_parties: int) -> dict:
     """Pair entropies of a residual keyed by the original letters; {} below three parties."""
+    measured_party = party_index(measured_party, n_parties)
     remaining, pairs = _residual_pairs(measured_party, n_parties)
     if len(remaining) != residual.n_parties:
         raise DomainError(f"residual has {residual.n_parties} parties, expected {len(remaining)}")

@@ -5,6 +5,7 @@ scoreboard even when everything is green.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -26,5 +27,5 @@ def test_criterion(number, capsys):
 
 def test_result_json_encodes():
     # Criterion 3 builds its verdict from numpy comparisons.
-    payload = json.loads(json.dumps(acceptance.run_one(3).to_json()))
+    payload = json.loads(json.dumps(asdict(acceptance.run_one(3))))
     assert payload["passed"] is True

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import quartet
-from quartet import acceptance, catalog, cli
+from quartet import acceptance, canonical, catalog, cli
 from quartet.acceptance import CriterionResult
 from quartet.core import state_to_json
 
@@ -77,42 +77,56 @@ def test_pretty_flag_indents(capsys):
 
 def test_entropy_of_catalog_state(tmp_path, capsys):
     path = write_state(tmp_path, "M4")
-    code, payload, _ = run_cli(capsys, ["entropy", path])
+    code, payload, _ = run_cli(capsys, ["profile", path])
     assert code == 0
     assert payload["average"] == pytest.approx(TARGET_AVERAGE, abs=1e-10)
     assert set(payload["pairs"]) == {"AB", "AC", "AD", "BC", "BD", "CD"}
 
 
-def test_profile_is_an_alias(tmp_path, capsys):
-    path = write_state(tmp_path, "PSI_EXAMPLE")
-    code_a, a, _ = run_cli(capsys, ["entropy", path])
-    code_b, b, _ = run_cli(capsys, ["profile", path])
-    assert code_a == code_b == 0
-    assert a["pairs"] == b["pairs"]
-    assert a["average"] == b["average"]
-    assert b["manifest"]["command"] == "profile"
-
-
 def test_stdin_dash_reads_state(monkeypatch, capsys):
     serialized = json.dumps(state_to_json(catalog.make("C4")))
     monkeypatch.setattr(sys, "stdin", io.StringIO(serialized))
-    code, payload, _ = run_cli(capsys, ["entropy", "-"])
+    code, payload, _ = run_cli(capsys, ["profile", "-"])
     assert code == 0
     assert payload["average"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_missing_state_file(tmp_path, capsys):
-    code, payload, err = run_cli(capsys, ["entropy", str(tmp_path / "missing.json")])
-    assert code == 1 and payload is None and "error:" in err
+# Every subcommand that takes a state file, with the options it needs.
+STATE_COMMANDS = {
+    "profile": [],
+    "canonicalize": [],
+    "stationarity": [],
+    "measure": ["--party", "A"],
+    "robustness": [],
+}
+
+
+@pytest.mark.parametrize("command", STATE_COMMANDS)
+def test_missing_state_file(tmp_path, capsys, command):
+    argv = [command, str(tmp_path / "missing.json")] + STATE_COMMANDS[command]
+    code, payload, err = run_cli(capsys, argv)
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and "missing.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", STATE_COMMANDS)
+def test_unnormalized_state_file(tmp_path, capsys, command):
+    doc = state_to_json(catalog.make("M4"))
+    doc["amps"] = [[2 * re, 2 * im] for re, im in doc["amps"]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    code, payload, err = run_cli(capsys, [command, str(path)] + STATE_COMMANDS[command])
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and "norm" in err and "Traceback" not in err
 
 
 def test_malformed_state_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    code, _, err = run_cli(capsys, ["entropy", str(path)])
+    code, _, err = run_cli(capsys, ["profile", str(path)])
     assert code == 1 and "error:" in err
     path.write_text(json.dumps({"dims": [2, 2], "amps": [[1.0, 0.0]]}))
-    code, _, err = run_cli(capsys, ["entropy", str(path)])
+    code, _, err = run_cli(capsys, ["profile", str(path)])
     assert code == 1 and "error:" in err
 
 
@@ -210,14 +224,26 @@ def test_ame_two_qubits_reaches_zero(capsys):
     assert payload["manifest"]["params"]["dims"] == [2, 2]
 
 
-def test_maximize_strict_flags_nonconvergence(capsys):
-    code, payload, err = run_cli(
-        capsys,
-        ["maximize", "--restarts", "1", "--max-iters", "2", "--strict", "--seed", "0"],
-    )
+@pytest.mark.parametrize("argv, message", [
+    (["canonicalize", "STATE", "--restarts", "1"], "error: canonicalization residual"),
+    (["ame", "--restarts", "1", "--max-iters", "2"],
+     "error: best deviation restart did not reach the gradient tolerance"),
+    (["maximize", "--restarts", "1", "--max-iters", "2"],
+     "error: best ascent restart did not reach the gradient tolerance"),
+], ids=["canonicalize", "ame", "maximize"])
+def test_strict_fails_a_search_that_fell_short(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(canonical, "MAX_SWEEPS", 2)
+    path = write_state(tmp_path, "M4")
+    argv = [path if a == "STATE" else a for a in argv] + ["--seed", "0"]
+    code, lenient, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    code, payload, err = run_cli(capsys, argv + ["--strict"])
     assert code == 1
-    assert payload is not None and not payload["manifest"]["stats"]["restarts"][0]["converged"]
-    assert "error:" in err
+    # The payload is still printed, and is the lenient run's but for the flag.
+    assert payload["manifest"]["params"].pop("strict")
+    lenient["manifest"]["params"].pop("strict")
+    assert strip_duration(payload) == strip_duration(lenient)
+    assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -339,6 +365,9 @@ def test_robustness_payload(tmp_path, capsys):
     assert payload["overall"]["max"] == pytest.approx(RESIDUAL_ENTROPY, abs=1e-8)
 
 
+CRITERIA = ((1, "one"), (2, "two"))
+
+
 def _fake_result(number, name, passed):
     return CriterionResult(
         number=number,
@@ -351,9 +380,8 @@ def _fake_result(number, name, passed):
 
 
 def test_verify_reports_per_criterion_lines(capsys, monkeypatch):
-    monkeypatch.setattr(acceptance, "criteria_names", lambda: ("one", "two"))
     monkeypatch.setattr(
-        acceptance, "run_one", lambda n: _fake_result(n, ("one", "two")[n - 1], True)
+        acceptance, "run_all", lambda: (_fake_result(n, name, True) for n, name in CRITERIA)
     )
     code, payload, err = run_cli(capsys, ["verify"])
     assert code == 0
@@ -363,16 +391,15 @@ def test_verify_reports_per_criterion_lines(capsys, monkeypatch):
 
 
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
-    monkeypatch.setattr(acceptance, "criteria_names", lambda: ("one", "two"))
     monkeypatch.setattr(
         acceptance,
-        "run_one",
-        lambda n: _fake_result(n, ("one", "two")[n - 1], n == 1),
+        "run_all",
+        lambda: (_fake_result(n, name, n == 1) for n, name in CRITERIA),
     )
     code, payload, err = run_cli(capsys, ["verify"])
     assert code == 1
     assert not payload["all_passed"]
-    assert "FAIL" in err
+    assert "FAIL" in err and "error:" not in err
 
 
 def test_module_entry_point_runs_as_subprocess():

@@ -2,11 +2,13 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quartet
 from quartet.core import (
     UNIT_NORM_TOL,
     DomainError,
@@ -306,3 +308,11 @@ def test_check_normalized_rejects_any_state_of_a_stack():
         scaled[1] *= bad
         with pytest.raises(DomainError, match="squared norm deviates from 1 by more than 1e-08"):
             check_normalized(scaled)
+
+
+def test_package_names_of_submodules_are_the_submodules():
+    # ``quartet.entropy`` and ``quartet.measure`` also name functions inside those modules.
+    assert isinstance(quartet.entropy, types.ModuleType)
+    assert isinstance(quartet.measure, types.ModuleType)
+    assert quartet.entropy.entropy.__module__ == "quartet.entropy"
+    assert quartet.measure.measure.__module__ == "quartet.measure"

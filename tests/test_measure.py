@@ -8,9 +8,13 @@ import pytest
 from quartet import catalog
 from quartet.core import (
     DomainError,
+    PureState,
     ShapeError,
+    apply_local_unitary,
     basis_state,
     inner,
+    partial_trace,
+    party_index,
     random_state,
     random_unitary,
 )
@@ -28,6 +32,20 @@ from quartet.measure import (
 )
 
 RESIDUAL_ENTROPY = math.log2(3.0) - 2.0 / 3.0
+
+_M4 = catalog.make("M4")
+_RESIDUAL = measure(_M4, computational_basis(0))[0].residual
+# Public functions that take a party, each called on one party of a four-party state.
+PARTY_CALLS = {
+    "party_index": lambda p: party_index(p, 4),
+    "partial_trace": lambda p: partial_trace(_M4, (p,)),
+    "apply_local_unitary": lambda p: apply_local_unitary(_M4, p, plus_minus_basis(0).vectors),
+    "residual_pair_entropies": lambda p: residual_pair_entropies(_RESIDUAL, p, 4),
+    "MeasurementBasis": lambda p: MeasurementBasis(p, np.eye(2)),
+    "equivariance_overlap": lambda p: equivariance_overlap(_M4, p, np.eye(2)),
+}
+# A basis carries no state, so it takes only an index, and checks its range when measured.
+INDEX_ONLY = {"MeasurementBasis", "equivariance_overlap"}
 
 
 def test_basis_validation():
@@ -214,3 +232,30 @@ def test_robustness_report_validation():
         robustness_report(catalog.make("M4"), trials=MAX_TRIALS + 1)
     with pytest.raises(DomainError):
         robustness_report(catalog.make("M4"), trials=1, seed=-1)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, PureState):
+        return a.dims == b.dims and np.array_equal(a.amps, b.amps)
+    if isinstance(a, MeasurementBasis):
+        return a.party == b.party and np.array_equal(a.vectors, b.vectors)
+    return a == b if isinstance(a, (dict, int, float)) else np.array_equal(a, b)
+
+
+NOT_PARTIES = [True, False, 1.0, 1.5, np.float64(1.0), "1.0", "", "E", -1]
+PARTY_ONE = [1, np.int64(1), "b", " B ", "1"]
+
+
+@pytest.mark.parametrize("party", NOT_PARTIES + PARTY_ONE + [7], ids=repr)
+@pytest.mark.parametrize("call", PARTY_CALLS)
+def test_one_rule_for_party_arguments(call, party):
+    """A party is an integer index or a letter; never a bool or a non-integral number."""
+    fn = PARTY_CALLS[call]
+    names_party_one = any(party is p for p in PARTY_ONE)
+    if call == "MeasurementBasis" and party == 7:
+        assert fn(party).party == 7
+    elif names_party_one and not (call in INDEX_ONLY and isinstance(party, str)):
+        assert _same(fn(party), fn(1))
+    else:
+        with pytest.raises(DomainError):
+            fn(party)

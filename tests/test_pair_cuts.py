@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from quartet import ame, ascent
+from quartet.entropy import EIG_FLOOR
 from quartet.core import (
     FOUR_PARTY_CUT_ROWS,
     ShapeError,
@@ -37,7 +38,7 @@ def reference_deviation(amps, dims):
     return value, g
 
 
-def reference_entropy(amps, dims, floor=ascent.SPECTRAL_FLOOR):
+def reference_entropy(amps, dims, floor=EIG_FLOOR):
     pairs = list(itertools.combinations(range(4), 2))
     t = amps.reshape(dims)
     value, g = 0.0, np.zeros(amps.size, dtype=complex)

@@ -1,7 +1,6 @@
 """The batched robustness report, checked against a per-basis loop that exists
 only here, plus its norm check and Hypothesis properties."""
 
-import importlib
 import itertools
 import json
 
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quartet import catalog, cli, core
+from quartet import measure as measure_mod
 from quartet.core import (
     PARTY_LETTERS,
     DomainError,
@@ -39,8 +39,6 @@ from quartet.measure import (
 )
 
 FLOAT_TOL = 1e-12
-# The package exports the function ``measure``, which hides the module of that name.
-measure_mod = importlib.import_module("quartet.measure")
 
 
 # A test-only copy of the per-basis loop the report replaced: one ``measure``
