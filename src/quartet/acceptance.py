@@ -330,7 +330,8 @@ def criterion_invariants() -> tuple[bool, str]:
     return ok, details
 
 
-_CRITERIA = (
+# One row per criterion, in run order: (number, name, check, budget in seconds).
+CRITERIA = (
     (1, "entropy-profiles", criterion_entropy_profiles, 1.0),
     (2, "pair-spectrum", criterion_pair_spectrum, 1.0),
     (3, "stationarity", criterion_stationarity, 10.0),
@@ -342,12 +343,8 @@ _CRITERIA = (
 )
 
 
-def criteria_names() -> tuple:
-    return tuple(name for _, name, _, _ in _CRITERIA)
-
-
 def run_one(number: int) -> CriterionResult:
-    for num, name, fn, budget in _CRITERIA:
+    for num, name, fn, budget in CRITERIA:
         if num == number:
             start = time.perf_counter()
             passed, details = fn()
@@ -361,5 +358,5 @@ def run_one(number: int) -> CriterionResult:
 
 def run_all():
     """Run every criterion in order, yielding each CriterionResult as it finishes."""
-    for num, _, _, _ in _CRITERIA:
+    for num, _, _, _ in CRITERIA:
         yield run_one(num)

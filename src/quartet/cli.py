@@ -10,6 +10,7 @@ file is expected, so subcommands compose under a shell pipe.
 the seed, and reads and validates the state file, before the subcommand's
 handler runs.  A handler returns its payload and, when its search fell short,
 the reason, which ``--strict`` turns into an ``error:`` line and exit code 1.
+The parser that reads ``argv`` is built once per process.
 
 Exit codes: 0 on success, 1 on domain errors (malformed state files, unknown
 catalog tags, non-convergence under ``--strict``, a failed ``verify``
@@ -17,6 +18,7 @@ criterion), 2 on usage errors.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -184,7 +186,10 @@ def _cmd_verify(args, _):
     return payload, f"criteria failed: {', '.join(failed)}" if failed else None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree of every subcommand, built once per process and shared by
+    every ``dispatch`` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quartet",
         description="Construct, analyze, canonicalize, and optimize small multipartite states.",

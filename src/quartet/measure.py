@@ -19,7 +19,7 @@ from .entropy import stacked_pair_entropies
 PROB_FLOOR = 1e-14
 ORTHO_TOL = 1e-10
 FRAGILE_TOL = 1e-10
-# Every basis of a party is measured at once, so the trial count is bounded.
+# A robustness pass holds every basis of its parties at once, so the trial count is bounded.
 MAX_TRIALS = 4096
 _PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -85,23 +85,30 @@ class MeasurementOutcome:
     residual: PureState
 
 
-def _branches(s: PureState, party: int, vectors: np.ndarray) -> tuple:
-    """Measure ``party`` in every basis of the stack ``vectors`` (B, d, d) at once.
+def _branches(s: PureState, parties: tuple, vectors: np.ndarray) -> tuple:
+    """Measure each of ``parties`` in every basis of its stack at once: ``vectors``
+    (G, B, d, d) holds the B bases of party ``parties[g]`` in row g, and every
+    listed party has local dimension d.
 
-    Returns the Born probabilities (B, d), the residual amplitudes (B, d, R) and
-    the mask (B, d) of branches whose probability reaches ``PROB_FLOOR``; only
-    those are renormalized, and only they have a residual state.
+    Returns the Born probabilities (G, B, d), the residual amplitudes (G, B, d, R)
+    on the other parties in their original order, and the mask (G, B, d) of
+    branches whose probability reaches ``PROB_FLOOR``; only those are
+    renormalized, and only they have a residual state.
     """
-    if party < 0 or party >= s.n_parties:
-        raise DomainError(f"party {party} out of range")
+    for party in parties:
+        if party < 0 or party >= s.n_parties:
+            raise DomainError(f"party {party} out of range")
     if s.n_parties < 2:
         raise DomainError("measurement needs at least two parties")
-    if vectors.shape[-1] != s.dims[party]:
-        raise ShapeError(f"basis dimension {vectors.shape[-1]} does not match party "
-                         f"dimension {s.dims[party]}")
+    g, b, d = vectors.shape[:3]
+    for party in parties:
+        if d != s.dims[party]:
+            raise ShapeError(f"basis dimension {d} does not match party "
+                             f"dimension {s.dims[party]}")
     check_normalized(s.amps)
-    w = np.tensordot(vectors.conj(), s.tensor(), axes=([2], [party]))
-    w = w.reshape(vectors.shape[:2] + (-1,))
+    t = s.tensor()
+    fronts = np.stack([np.moveaxis(t, party, 0).reshape(d, -1) for party in parties])
+    w = (vectors.conj().reshape(g, b * d, d) @ fronts).reshape(g, b, d, -1)
     probs = np.linalg.norm(w, axis=-1) ** 2
     defined = probs >= PROB_FLOOR
     w[defined] /= np.sqrt(probs[defined])[:, None]
@@ -110,10 +117,10 @@ def _branches(s: PureState, party: int, vectors: np.ndarray) -> tuple:
 
 def measure(s: PureState, basis: MeasurementBasis) -> list:
     """All outcomes of measuring one party, with Born probabilities summing to 1."""
-    probs, w, defined = _branches(s, basis.party, basis.vectors[None])
+    probs, w, defined = _branches(s, (basis.party,), basis.vectors[None, None])
     rest = tuple(d for q, d in enumerate(s.dims) if q != basis.party)
     return [MeasurementOutcome(k, prob, PureState(rest, amps) if ok else None)
-            for k, (prob, amps, ok) in enumerate(zip(probs[0].tolist(), w[0], defined[0]))]
+            for k, (prob, amps, ok) in enumerate(zip(probs[0, 0].tolist(), w[0, 0], defined[0, 0]))]
 
 
 def _residual_pairs(party: int, n_parties: int) -> tuple:
@@ -134,18 +141,21 @@ def residual_pair_entropies(residual: PureState, measured_party, n_parties: int)
     return dict(zip(pairs, stacked_pair_entropies(residual.amps, residual.dims).tolist()))
 
 
-def equivariance_overlap(s: PureState, party: int, u) -> float:
+def equivariance_overlap(s: PureState, party, u) -> float:
     """Smallest overlap modulus between rotated-basis residuals and the
     locally rotated computational residuals, both bases measured in one call.
 
     For a state invariant (up to phase) under u applied to every party, each
     outcome of the basis {u|k>} leaves a residual equal, up to phase, to u
     applied on every unmeasured party of the computational outcome's residual.
-    Returns 1.0 exactly in that case, up to round-off.
+    Returns 1.0 exactly in that case, up to round-off.  The party is an index
+    or a letter.
     """
+    party = party_index(party, s.n_parties)
     basis = MeasurementBasis(party, np.asarray(u, dtype=complex).T)
     d = basis.dim
-    _, w, defined = _branches(s, party, np.stack([basis.vectors, np.eye(d)]))
+    _, w, defined = _branches(s, (party,), np.stack([basis.vectors, np.eye(d)])[None])
+    w, defined = w[0], defined[0]
     rest = [e for q, e in enumerate(s.dims) if q != party]
     if any(e != d for e in rest):
         raise ShapeError(f"a {d}x{d} unitary does not fit the unmeasured dims {rest}")
@@ -159,25 +169,23 @@ def equivariance_overlap(s: PureState, party: int, u) -> float:
     return float(np.min(np.abs(np.sum(w[0].conj() * carried, axis=-1))[both]))
 
 
-def _party_bases(party: int, d: int, trials: int, seed: int) -> np.ndarray:
-    """The bases a robustness report measures ``party`` in, stacked (B, d, d): the
-    computational basis, |+>/|-> for a qubit, then one random basis per trial.
+def _party_bases(parties: tuple, d: int, trials: int, seed: int) -> np.ndarray:
+    """The bases a robustness report measures each of ``parties`` in, all of local
+    dimension d, stacked (G, B, d, d): the computational basis, |+>/|-> for a
+    qubit, then one random basis per trial.
 
-    Trial t reads row t of one ``default_rng([seed, party])`` draw of shape
+    Trial t of party p reads row t of one ``default_rng([seed, p])`` draw of shape
     (trials, 2d), which is bitwise the t-th of successive ``random_basis`` calls
-    on that generator; so trial t does not depend on ``trials``, and trial 0 is
-    the basis ``quartet measure --basis random`` uses.
+    on that generator; so trial t depends neither on ``trials`` nor on the other
+    parties, and trial 0 is the basis ``quartet measure --basis random`` uses.
     """
-    normals = np.random.default_rng([seed, party]).standard_normal((trials, 2 * d))
-    named = [np.eye(d, dtype=complex)] + ([_PLUS_MINUS] if d == 2 else [])
-    bases = np.concatenate([named, _gaussian_bases(normals)])
+    normals = np.stack([np.random.default_rng([seed, p]).standard_normal((trials, 2 * d))
+                        for p in parties])
+    named = np.array([np.eye(d)] + ([_PLUS_MINUS] if d == 2 else []), dtype=complex)
+    bases = np.concatenate([np.broadcast_to(named, (len(parties),) + named.shape),
+                            _gaussian_bases(normals)], axis=1)
     _check_orthonormal(bases)
     return bases
-
-
-def _stats(values) -> dict:
-    return {"min": float(np.min(values)), "max": float(np.max(values)),
-            "mean": float(np.mean(values))}
 
 
 def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
@@ -187,10 +195,12 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
     and ``trials`` Haar-random bases drawn from one ``default_rng([seed, party])``
     stream, trial 0 first (see ``_party_bases``).  Random bases contribute
     min/max/mean statistics per remaining pair; each basis also carries a
-    fragility flag (every residual entropy below 1e-10).  All bases of a party
-    are measured in one contraction, and every residual of the party is read
-    with one batched ``stacked_pair_entropies`` call, so ``trials`` must be an
-    integer in 1..``MAX_TRIALS``.
+    fragility flag (every residual entropy below 1e-10).  Parties whose
+    residuals have equal dims are measured in one pass: one basis completion,
+    one contraction and one batched ``stacked_pair_entropies`` call over all
+    their bases, which for equal local dims and up to 1022 trials is every
+    party.  A pass holds no more bases than one party at ``MAX_TRIALS``, and
+    ``trials`` must be an integer in 1..``MAX_TRIALS``.
     """
     if s.n_parties != 4:
         raise DomainError(f"robustness_report is defined for four parties, got {s.n_parties}")
@@ -198,31 +208,52 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
     if trials > MAX_TRIALS:
         raise DomainError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     check_count("seed", seed)
-    per_party, pooled = {}, []
+    groups = {}
     for p in range(4):
-        _, pairs = _residual_pairs(p, 4)
-        rest = tuple(d for q, d in enumerate(s.dims) if q != p)
-        probs, w, defined = _branches(s, p, _party_bases(p, s.dims[p], trials, seed))
-        ents = np.zeros(defined.shape + (len(pairs),))
+        groups.setdefault(s.dims[:p] + s.dims[p + 1:], []).append(p)
+    # A pass holds at most the bases of one party at MAX_TRIALS, which bounds its memory.
+    size = (MAX_TRIALS + 2) // (trials + 2)
+    passes = [(rest, parties[i:i + size]) for rest, parties in groups.items()
+              for i in range(0, len(parties), size)]
+    entries, low, high, total, count = {}, np.inf, -np.inf, 0.0, 0
+    for rest, parties in passes:
+        probs, w, defined = _branches(s, parties, _party_bases(parties, s.dims[parties[0]],
+                                                                trials, seed))
+        # A three-party residual has three pairs.
+        ents = np.zeros(defined.shape + (3,))
         ents[defined] = stacked_pair_entropies(w[defined], rest)
         # Undefined branches keep zero entropies; they cannot decide fragility,
         # because every basis of a normalized state has a defined branch.
-        fragile = np.all(ents < FRAGILE_TOL, axis=(1, 2)).tolist()
-        n_named = len(fragile) - trials
-        entry = {}
-        for name, b_probs, b_ents, b_defined, b_fragile in zip(
-                ("computational", "plusminus"), probs[:n_named].tolist(),
-                ents[:n_named].tolist(), defined[:n_named].tolist(), fragile):
-            outcomes = [{"outcome": k, "probability": prob, "entropies": dict(zip(pairs, values))}
-                        if ok else {"outcome": k, "probability": prob, "undefined": True}
-                        for k, (prob, values, ok) in enumerate(zip(b_probs, b_ents, b_defined))]
-            entry[name] = {"fragile": b_fragile, "outcomes": outcomes}
-        random = ents[n_named:][defined[n_named:]]
-        pooled.append(random.reshape(-1))
-        entry["random"] = {
-            "pairs": {pair: _stats(random[:, i]) for i, pair in enumerate(pairs)},
-            "fragile_trials": [t for t in range(trials) if fragile[n_named + t]],
-        }
-        per_party[PARTY_LETTERS[p]] = entry
-    return {"trials": trials, "seed": seed, "per_party": per_party,
-            "overall": _stats(np.concatenate(pooled))}
+        fragile = np.all(ents < FRAGILE_TOL, axis=(2, 3)).tolist()
+        n_named = defined.shape[1] - trials
+        # Each party's random trials give min/max/mean per pair over defined branches only.
+        random, kept = ents[:, n_named:], defined[:, n_named:, :, None]
+        lows = np.where(kept, random, np.inf).min(axis=(1, 2))
+        highs = np.where(kept, random, -np.inf).max(axis=(1, 2))
+        sums = np.where(kept, random, 0.0).sum(axis=(1, 2))
+        counts = kept.sum(axis=(1, 2))
+        stats = np.stack([lows, highs, sums / counts], axis=-1).tolist()
+        low, high = min(low, lows.min()), max(high, highs.max())
+        total, count = total + sums.sum(), count + 3 * int(counts.sum())
+        named_probs, named_ents, named_defined = (
+            a[:, :n_named].tolist() for a in (probs, ents, defined))
+        for g, p in enumerate(parties):
+            _, pairs = _residual_pairs(p, 4)
+            entry = {}
+            for name, b_probs, b_ents, b_defined, b_fragile in zip(
+                    ("computational", "plusminus"), named_probs[g], named_ents[g],
+                    named_defined[g], fragile[g]):
+                outcomes = [
+                    {"outcome": k, "probability": prob, "entropies": dict(zip(pairs, values))}
+                    if ok else {"outcome": k, "probability": prob, "undefined": True}
+                    for k, (prob, values, ok) in enumerate(zip(b_probs, b_ents, b_defined))]
+                entry[name] = {"fragile": b_fragile, "outcomes": outcomes}
+            entry["random"] = {
+                "pairs": {pair: dict(zip(("min", "max", "mean"), row))
+                          for pair, row in zip(pairs, stats[g])},
+                "fragile_trials": [t for t in range(trials) if fragile[g][n_named + t]],
+            }
+            entries[p] = entry
+    return {"trials": trials, "seed": seed,
+            "per_party": {PARTY_LETTERS[p]: entries[p] for p in range(4)},
+            "overall": {"min": float(low), "max": float(high), "mean": float(total / count)}}

@@ -1,5 +1,6 @@
 """Command-line interface tests, run in process through ``dispatch``."""
 
+import argparse
 import io
 import json
 import math
@@ -354,6 +355,35 @@ def test_repeated_runs_are_bitwise_identical(tmp_path, capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert strip_duration(first) == strip_duration(second)
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    # A usage error or a failed call leaves the shared parser fit for the next call.
+    path = write_state(tmp_path, "M4")
+    sequence = [["profile", path], ["profile", path, "--no-such-flag"],
+                ["profile", str(tmp_path / "missing.json")], ["profile", path]]
+    built = []
+    original = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        built.append(self.prog)
+        return original(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+
+    def run(argv):
+        code, payload, err = run_cli(capsys, argv)
+        return code, payload and strip_duration(payload), err
+
+    alone = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _, _ in alone] == [0, 2, 1, 0]
+    cli.build_parser.cache_clear()
+    built.clear()
+    assert [run(argv) for argv in sequence] == alone
+    assert built == ["quartet"]
 
 
 def test_robustness_payload(tmp_path, capsys):

@@ -45,7 +45,7 @@ PARTY_CALLS = {
     "equivariance_overlap": lambda p: equivariance_overlap(_M4, p, np.eye(2)),
 }
 # A basis carries no state, so it takes only an index, and checks its range when measured.
-INDEX_ONLY = {"MeasurementBasis", "equivariance_overlap"}
+INDEX_ONLY = {"MeasurementBasis"}
 
 
 def test_basis_validation():

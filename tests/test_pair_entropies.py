@@ -80,10 +80,13 @@ def test_residual_pair_entropies_make_one_eigvalsh_call_per_residual(eigvalsh_ca
     assert eigvalsh_calls == [(3, 2, 2)] * len(outcomes)
 
 
-def test_robustness_report_makes_one_eigvalsh_call_per_party(eigvalsh_calls):
-    # Per party: 10 bases of 2 outcomes, every residual in one stacked call.
-    robustness_report(random_state((2, 2, 2, 2), np.random.default_rng(73)), trials=8)
-    assert eigvalsh_calls == [(20, 3, 2, 2)] * 4
+@pytest.mark.parametrize("dims, shape", [((2, 2, 2, 2), (80, 3, 2, 2)),
+                                         ((4, 4, 4, 4), (144, 3, 4, 4))], ids=["2222", "4444"])
+def test_robustness_report_makes_one_eigvalsh_call(eigvalsh_calls, dims, shape):
+    # Four parties of 10 qubit bases with 2 outcomes, or of 9 ququart bases with 4:
+    # every residual of the report in one stacked call.
+    robustness_report(random_state(dims, np.random.default_rng(73)), trials=8)
+    assert eigvalsh_calls == [shape]
 
 
 def test_residual_without_a_proper_pair_reports_no_entropies():

@@ -152,33 +152,39 @@ def test_party_bases_do_not_depend_on_the_trial_count():
     for d in (2, 3, 4):
         named = 2 if d == 2 else 1
         for seed in (0, 5, 2**20):
+            together = _party_bases((0, 1, 2, 3), d, 3, seed)
             for p in range(4):
-                assert np.array_equal(_party_bases(p, d, 3, seed),
-                                      _party_bases(p, d, 8, seed)[:named + 3])
+                alone = _party_bases((p,), d, 3, seed)[0]
+                assert np.array_equal(alone, _party_bases((p,), d, 8, seed)[0][:named + 3])
+                assert np.array_equal(alone, together[p])
 
 
 def test_report_bases_continue_the_cli_random_basis(tmp_path, capsys, monkeypatch):
     # Trial t of party p is the t-th basis ``random_basis`` draws from the
-    # generator ``quartet measure --basis random`` uses, so trial 0 is its basis.
-    s = random_state((2, 3, 4, 2), np.random.default_rng(82))
-    seen = []
+    # generator ``quartet measure --basis random`` uses, so trial 0 is its basis,
+    # whether p has a pass of its own or shares one.
+    seen = {}
 
-    def recording(state, party, vectors):
-        seen.append(vectors)
-        return _branches(state, party, vectors)
+    def recording(state, parties, vectors):
+        seen.update(zip(parties, vectors))
+        return _branches(state, parties, vectors)
 
     monkeypatch.setattr(measure_mod, "_branches", recording)
-    robustness_report(s, trials=5, seed=6)
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(state_to_json(s)))
-    for p, (d, vectors) in enumerate(zip(s.dims, seen)):
-        rng = np.random.default_rng([6, p])
-        expected = [random_basis(p, d, rng).vectors for _ in range(5)]
-        assert np.array_equal(vectors[-5:], expected)
-        assert cli.dispatch(["measure", str(path), "--party", str(p), "--basis", "random",
-                             "--seed", "6"]) == 0
-        printed = json.loads(capsys.readouterr().out)["basis_vectors"]
-        assert np.array_equal(np.array(printed) @ [1.0, 1j], expected[0])
+    for dims in ((2, 3, 4, 2), (2, 2, 2, 2)):
+        s = random_state(dims, np.random.default_rng(82))
+        seen.clear()
+        robustness_report(s, trials=5, seed=6)
+        assert sorted(seen) == [0, 1, 2, 3]
+        path.write_text(json.dumps(state_to_json(s)))
+        for p, d in enumerate(s.dims):
+            rng = np.random.default_rng([6, p])
+            expected = [random_basis(p, d, rng).vectors for _ in range(5)]
+            assert np.array_equal(seen[p][-5:], expected)
+            assert cli.dispatch(["measure", str(path), "--party", str(p), "--basis", "random",
+                                 "--seed", "6"]) == 0
+            printed = json.loads(capsys.readouterr().out)["basis_vectors"]
+            assert np.array_equal(np.array(printed) @ [1.0, 1j], expected[0])
 
 
 @pytest.mark.parametrize("trials", [1, 8, 40])
@@ -193,6 +199,34 @@ def test_a_report_builds_one_generator_per_party(monkeypatch, trials):
     monkeypatch.setattr(np.random, "default_rng", counted)
     robustness_report(catalog.make("M4"), trials=trials, seed=3)
     assert built == [([3, p],) for p in range(4)]
+
+
+# Parties whose residuals have equal dims share one pass, split so that a pass holds
+# no more bases than one party at MAX_TRIALS; each pass makes one call of each step.
+@pytest.mark.parametrize("dims, max_trials, passes", [
+    ((2, 2, 2, 2), 4096, [(0, 1, 2, 3)]),
+    ((4, 4, 4, 4), 4096, [(0, 1, 2, 3)]),
+    ((2, 3, 2, 2), 4096, [(0,), (1,), (2, 3)]),
+    ((3, 3, 2, 2), 4096, [(0, 1), (2, 3)]),
+    ((2, 3, 4, 2), 4096, [(0,), (1,), (2,), (3,)]),
+    ((2, 2, 2, 2), 10, [(0, 1), (2, 3)]),
+    ((2, 2, 2, 2), 4, [(0,), (1,), (2,), (3,)]),
+])
+def test_a_report_makes_one_call_per_pass(monkeypatch, dims, max_trials, passes):
+    s = random_state(dims, np.random.default_rng(85))
+    expected = _sequential_report(s, 4, 2)
+    calls = {"_branches": [], "unitary_from_first_column": [], "check_normalized": [],
+             "stacked_pair_entropies": []}
+    for name, log in calls.items():
+        def counted(*args, _original=getattr(measure_mod, name), _log=log):
+            _log.append(args)
+            return _original(*args)
+        monkeypatch.setattr(measure_mod, name, counted)
+    monkeypatch.setattr(measure_mod, "MAX_TRIALS", max_trials)
+    report = robustness_report(s, trials=4, seed=2)
+    assert [tuple(args[1]) for args in calls["_branches"]] == passes
+    assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, len(passes))
+    assert_same_report(report, expected)
 
 
 # ------------------------------------------------------------ equivariance overlap
@@ -245,7 +279,7 @@ def test_equivariance_overlap_makes_one_branch_call(monkeypatch):
         monkeypatch.setattr(core, name, forbidden)
     monkeypatch.setattr(measure_mod, "measure", forbidden)
     equivariance_overlap(catalog.make("M4"), 2, random_unitary(2, np.random.default_rng(83)))
-    assert calls == [2]
+    assert calls == [(2,)]
 
 
 def test_equivariance_overlap_rejects_a_unitary_that_does_not_fit():
@@ -304,13 +338,21 @@ def four_party_states(draw):
 @given(four_party_states(), st.integers(0, 2**16))
 def test_every_basis_of_the_report_is_born_complete(s, seed):
     for p, d in enumerate(s.dims):
-        bases = _party_bases(p, d, 3, seed)
-        probs, _, _ = _branches(s, p, bases)
+        bases = _party_bases((p,), d, 3, seed)
+        probs, _, _ = _branches(s, (p,), bases)
         assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-12
         rng = np.random.default_rng([seed, p])
-        for t, vectors in enumerate(bases[-3:]):
+        for t, vectors in enumerate(bases[0, -3:]):
             expected = random_basis(p, d, rng).vectors
             assert np.array_equal(vectors, expected)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from([2, 3]), min_size=4, max_size=4), st.integers(1, 3),
+       st.integers(0, 2**16), st.integers(0, 2**32 - 1))
+def test_report_matches_the_per_basis_loop_on_mixed_dims(dims, trials, seed, state_seed):
+    s = random_state(tuple(dims), np.random.default_rng(state_seed))
+    assert_same_report(robustness_report(s, trials, seed), _sequential_report(s, trials, seed))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
