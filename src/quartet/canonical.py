@@ -48,26 +48,31 @@ def unitary_from_first_column(v) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _contract_rows(front: np.ndarray, vectors, party: int) -> np.ndarray:
-    """Contract conj(vectors[q]) onto every axis q != party; returns ``(R, d_party)``.
+def _outer(a, b):
+    """Row-wise outer product of stacks ``(R, m)`` and ``(R, k)`` as ``(R, m*k)``.
 
-    ``front`` is the state tensor with ``party``'s axis moved to the front, and
-    ``vectors[q]`` stacks R local vectors as ``(R, d_q)``.  One stacked matmul per
-    axis, so a call costs about the same for R rows as for one.
+    ``None`` stands for the empty product, so the other stack comes back as is.
     """
-    out = front[None]
-    for q in reversed(range(len(vectors))):
-        if q != party:
-            vec = vectors[q]
-            out = out.reshape(len(out), -1, vec.shape[1]) @ vec.conj()[:, :, None]
-    return out.reshape(len(out), front.shape[0])
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
 def _random_product(dims, rng):
+    """One random unit vector per party from a single ``standard_normal`` draw.
+
+    Party q's real and imaginary parts are the next ``d_q`` values each, so the
+    vectors are bitwise those of two ``standard_normal(d_q)`` draws per party.
+    """
+    x = rng.standard_normal(2 * sum(dims))
     vecs = []
+    i = 0
     for d in dims:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        z = x[i:i + d] + 1j * x[i + d:i + 2 * d]
         vecs.append(z / np.linalg.norm(z))
+        i += 2 * d
     return vecs
 
 
@@ -98,58 +103,92 @@ def _alternate(t: np.ndarray, starts, rngs):
     ``SWEEP_RESIDUAL_TOL``.  That drift bounds the single-excitation
     coefficients of the final form, so stopping on it (rather than on the
     overlap increment, which saturates at float resolution long before the
-    vectors settle) is what keeps ``zero_residual`` small.  Stopped rows are
-    frozen while the others go on.
-    Returns ``(vectors, histories, records)``.
+    vectors settle) is what keeps ``zero_residual`` small.
+
+    A party step is one matmul of the row-wise outer product of the other
+    parties' conjugated vectors against the state held as a ``(D/d_p, d_p)``
+    matrix; the drift of every party is taken once per sweep.  Every row
+    sweeps until the last one stops; a row's vectors and record are taken in
+    the sweep where it stops, and its history is read from the per-sweep
+    overlap trace at the end.
+    Returns ``(vectors, histories, records)``, ``vectors[r]`` holding row r's
+    final vector of each party.
     """
     n = t.ndim
     rows = len(rngs)
-    fronts = [np.ascontiguousarray(np.moveaxis(t, p, 0)) for p in range(n)]
+    offsets = np.cumsum((0,) + t.shape[:-1])
+    fronts = [np.moveaxis(t, p, -1).reshape(-1, d) for p, d in enumerate(t.shape)]
     vectors = list(starts)
-    overlap = np.zeros(rows)
-    histories = [[] for _ in range(rows)]
+    conj = [v.conj() for v in vectors]
+    sweeps = np.zeros(rows, dtype=int)  # since the row's last reseed, this one included
+    first = [0] * rows  # trace index of the row's first sweep since its last reseed
     reseeds = [0] * rows
-    reasons = [None] * rows
+    final = [None] * rows
+    records = [None] * rows
     active = np.ones(rows, dtype=bool)
+    overlap = np.zeros(rows)
+    trace = []
     while active.any():
-        live = active.copy()
-        drift = np.zeros(rows)
+        prior, prior_overlap = vectors[:], overlap
+        # after[p] multiplies out the last sweep's conjugated vectors of the
+        # parties after p; a one-party state contracts against a column of ones.
+        after = [None] * (n - 1) + [None if n > 1 else np.ones((rows, 1))]
+        for p in range(n - 1, 0, -1):
+            after[p - 1] = _outer(conj[p], after[p])
+        before = None  # the same for this sweep's vectors of the parties before p
+        contractions, norms, squares = [], [], []
         for p in range(n):
-            v = _contract_rows(fronts[p], vectors, p)
-            nv = np.linalg.norm(v, axis=1)
-            live &= nv >= DEGENERACY_TOL
-            # Component of the new contraction orthogonal to the vector the
-            # sweep is about to replace; zero exactly at a fixed point.
-            axial = (vectors[p].conj() * v).sum(axis=1)[:, None] * vectors[p]
-            drift = np.maximum(drift, np.linalg.norm(v - axial, axis=1))
-            vectors[p] = np.where(live[:, None], v / np.maximum(nv, DEGENERACY_TOL)[:, None],
-                                  vectors[p])
-            overlap = np.where(live, nv * nv, overlap)
-        values = overlap.tolist()
-        for r in np.flatnonzero(active).tolist():
-            if not live[r]:
-                if reseeds[r] >= _MAX_RESEEDS:
-                    reasons[r] = "reseeds_exhausted"
-                    active[r] = False
-                    continue
+            v = _outer(before, after[p]) @ fronts[p]
+            x = v.view(float)
+            sq = (x * x).sum(axis=1)
+            nv = np.sqrt(sq)
+            vectors[p] = v / np.maximum(nv, DEGENERACY_TOL)[:, None]
+            conj[p] = vectors[p].conj()
+            if p < n - 1:
+                before = _outer(before, conj[p])
+            contractions.append(v)
+            norms.append(nv)
+            squares.append(sq)
+        # Component of each party's contraction orthogonal to the vector the
+        # sweep replaced; zero exactly at a fixed point.  All parties sit side
+        # by side along axis 1, party q's entries starting at offsets[q].
+        contracted = np.concatenate(contractions, axis=1)
+        replaced = np.concatenate(prior, axis=1)
+        axial = np.add.reduceat(replaced.conj() * contracted, offsets, axis=1)
+        x = (contracted - np.repeat(axial, t.shape, axis=1) * replaced).view(float)
+        drift2 = np.add.reduceat(x * x, 2 * offsets, axis=1).max(axis=1)
+        sweeps += 1
+        overlap = squares[-1]
+        trace.append(overlap)
+        dead = np.minimum.reduce(norms) < DEGENERACY_TOL
+        settled = (sweeps > 1) & (np.sqrt(drift2) < SWEEP_RESIDUAL_TOL)
+        for r in np.flatnonzero(active & (dead | settled | (sweeps >= MAX_SWEEPS))).tolist():
+            if not dead[r]:
+                reason = "settled" if settled[r] else "max_sweeps"
+                value, vecs = overlap[r], [v[r] for v in vectors]
+            elif reseeds[r] < _MAX_RESEEDS:
                 for q, vec in enumerate(_random_product(t.shape, rngs[r])):
                     vectors[q][r] = vec
+                    conj[q][r] = vec.conj()
                 reseeds[r] += 1
+                sweeps[r] = 0
+                first[r] = len(trace)
+                # Also this sweep's trace entry, which no history reads.
                 overlap[r] = 0.0
-                histories[r].clear()
                 continue
-            histories[r].append(values[r])
-            sweeps = len(histories[r])
-            if sweeps > 1 and drift[r] < SWEEP_RESIDUAL_TOL:
-                reasons[r] = "settled"
-            elif sweeps >= MAX_SWEEPS:
-                reasons[r] = "max_sweeps"
-            active[r] = reasons[r] is None
-    records = [
-        RestartRecord(r, len(histories[r]), reseeds[r], float(overlap[r]), reasons[r])
-        for r in range(rows)
-    ]
-    return vectors, histories, records
+            else:
+                # The row keeps the overlap and vectors of its last live party.
+                p = next(p for p in range(n) if norms[p][r] < DEGENERACY_TOL)
+                reason = "reseeds_exhausted"
+                value = squares[p - 1][r] if p else prior_overlap[r]
+                vecs = [v[r] for v in vectors[:p] + prior[p:]]
+                sweeps[r] -= 1
+            records[r] = RestartRecord(r, int(sweeps[r]), reseeds[r], float(value), reason)
+            final[r] = vecs
+            active[r] = False
+    trace = np.array(trace)
+    histories = [trace[first[r]:first[r] + rec.sweeps, r].tolist() for r, rec in enumerate(records)]
+    return final, histories, records
 
 
 @dataclass(frozen=True)
@@ -204,11 +243,14 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
         if records[r].overlap > records[best].overlap + TIE_TOL:
             best = r
     overlap, history = records[best].overlap, histories[best]
-    vecs = [v[best] for v in vectors]
+    vecs = list(vectors[best])
 
     # Rotate the phase of the party-0 vector so the canonical |0...0| coefficient
     # comes out real nonnegative.
-    amplitude = complex(_contract_rows(t, [v[None] for v in vecs], 0)[0] @ vecs[0].conj())
+    amplitude = t
+    for v in reversed(vecs):
+        amplitude = amplitude @ v.conj()
+    amplitude = complex(amplitude)
     if abs(amplitude) > 0:
         vecs[0] = vecs[0] * (amplitude / abs(amplitude))
 

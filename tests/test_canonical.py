@@ -127,6 +127,17 @@ def test_canonical_transform_consistency():
     assert lead.real == pytest.approx(math.sqrt(form.overlap), abs=1e-10)
 
 
+def test_canonical_transform_consistency_for_unequal_dims():
+    s = random_state((2, 3, 2, 2), np.random.default_rng(34))
+    form = canonicalize(s, restarts=8, seed=4)
+    assert [u.shape for u in form.local_unitaries] == [(2, 2), (3, 3), (2, 2), (2, 2)]
+    out = s
+    for p, u in enumerate(form.local_unitaries):
+        out = apply_local_unitary(out, p, u)
+    assert np.max(np.abs(out.amps - form.state.amps)) < 1e-12
+    assert form.converged
+
+
 def test_single_excitation_coefficients_vanish():
     rng = np.random.default_rng(40)
     for k in range(20):
@@ -204,7 +215,10 @@ def _sequential_contract(t, vectors, skip):
 
 
 def _sequential_alternate(t, dims, vectors, rng):
-    """Reference: one start at a time, the loop the lockstep alternation replaced."""
+    """Reference: one start at a time, the loop the lockstep alternation replaced.
+
+    Returns ``(overlap, history, reseeds, stop_reason)``.
+    """
     vectors = [np.asarray(v, dtype=complex).copy() for v in vectors]
     history = []
     overlap = 0.0
@@ -225,7 +239,7 @@ def _sequential_alternate(t, dims, vectors, rng):
             overlap = float(nv * nv)
         if degenerate:
             if reseeds >= canonical._MAX_RESEEDS:
-                break
+                return overlap, history, reseeds, "reseeds_exhausted"
             vectors = canonical._random_product(dims, rng)
             reseeds += 1
             overlap = 0.0
@@ -235,8 +249,8 @@ def _sequential_alternate(t, dims, vectors, rng):
         history.append(overlap)
         sweep += 1
         if sweep > 1 and drift < SWEEP_RESIDUAL_TOL:
-            break
-    return overlap, history
+            return overlap, history, reseeds, "settled"
+    return overlap, history, reseeds, "max_sweeps"
 
 
 def _sequential_restarts(s, restarts, seed):
@@ -249,9 +263,29 @@ def _sequential_restarts(s, restarts, seed):
     return out
 
 
+def _chosen_start(records):
+    best = 0
+    for r in range(1, len(records)):
+        if records[r].overlap > records[best].overlap + canonical.TIE_TOL:
+            best = r
+    return best
+
+
+def _assert_matches_sequential(form, reference):
+    assert [r.restart for r in form.restarts] == list(range(len(reference)))
+    for record, (overlap, history, reseeds, reason) in zip(form.restarts, reference):
+        assert record.sweeps == len(history)
+        assert record.reseeds == reseeds
+        assert abs(record.overlap - overlap) <= 1e-12
+        assert record.stop_reason == reason
+    history = reference[_chosen_start(form.restarts)][1]
+    assert len(form.history) == len(history)
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(form.history, history))
+
+
 _LOCKSTEP_CASES = [
     (dims, random_state(dims, np.random.default_rng([60, k])), k)
-    for dims in ((2, 2, 2, 2), (3, 3, 3), (2, 2, 2, 2, 2), (4, 4, 4, 4))
+    for dims in ((2, 2, 2, 2), (3, 3, 3), (2, 2, 2, 2, 2), (4, 4, 4, 4), (2, 3, 2, 2))
     for k in range(2)
 ] + [("M4", make("M4"), 0)]
 
@@ -261,11 +295,8 @@ _LOCKSTEP_CASES = [
 def test_lockstep_matches_sequential_restarts(label, s, seed):
     form = canonicalize(s, restarts=8, seed=seed)
     reference = _sequential_restarts(s, 8, seed)
-    assert [r.restart for r in form.restarts] == list(range(9))
-    for record, (overlap, history) in zip(form.restarts, reference):
-        assert record.sweeps == len(history)
-        assert abs(record.overlap - overlap) <= 1e-12
-        assert record.stop_reason == "settled"
+    _assert_matches_sequential(form, reference)
+    assert {r.stop_reason for r in form.restarts} == {"settled"}
     if label == "M4":
         # the computational start is degenerate: the reseed path is exercised
         assert form.restarts[0].reseeds >= 1
@@ -280,6 +311,26 @@ def test_restart_records_do_not_depend_on_batch_size():
         assert small == large[:5]
     m4 = make("M4")
     assert canonicalize(m4, restarts=4).restarts == canonicalize(m4, restarts=16).restarts[:5]
+
+
+def test_chosen_form_does_not_depend_on_batch_size():
+    # Stopped starts keep sweeping with the rest, so a start's vectors must be
+    # taken in the sweep where it stops for the form to match across batch sizes.
+    states = [(random_state(dims, np.random.default_rng([64, k])), k)
+              for dims in ((2, 2, 2, 2), (3, 3, 3), (2, 3, 2, 2)) for k in range(4)]
+    compared = 0
+    for s, seed in states + [(make("M4"), 0), (make("C4"), 0)]:
+        small = canonicalize(s, restarts=4, seed=seed)
+        large = canonicalize(s, restarts=16, seed=seed)
+        if _chosen_start(large.restarts) >= 5:
+            continue
+        compared += 1
+        assert np.array_equal(small.state.amps, large.state.amps)
+        assert len(small.local_unitaries) == len(large.local_unitaries)
+        for a, b in zip(small.local_unitaries, large.local_unitaries):
+            assert np.array_equal(a, b)
+        assert small.history == large.history
+    assert compared >= 4
 
 
 def test_seeded_canonicalize_reruns_are_bitwise_identical():
@@ -304,3 +355,29 @@ def test_stop_reasons_tell_sweep_cap_and_exhausted_reseeds_apart(monkeypatch):
     m4 = canonicalize(make("M4"), restarts=3, seed=0).restarts
     assert (m4[0].stop_reason, m4[0].sweeps, m4[0].reseeds) == ("reseeds_exhausted", 0, 0)
     assert all(r.stop_reason != "reseeds_exhausted" for r in m4[1:])
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_exhausted_reseeds_match_sequential_restarts(monkeypatch, cap):
+    monkeypatch.setattr(canonical, "_MAX_RESEEDS", cap)
+    m4 = make("M4")
+    form = canonicalize(m4, restarts=8, seed=0)
+    _assert_matches_sequential(form, _sequential_restarts(m4, 8, 0))
+    # the computational start of |M4> is degenerate at its first party
+    first = form.restarts[0]
+    if cap == 0:
+        assert (first.stop_reason, first.sweeps, first.reseeds, first.overlap) == (
+            "reseeds_exhausted", 0, 0, 0.0)
+    else:
+        assert (first.stop_reason, first.reseeds) == ("settled", 1)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2, 2)])
+def test_random_starts_are_pinned(dims):
+    for seed in range(3):
+        for r in range(1, 6):
+            got = canonical._random_product(dims, np.random.default_rng([seed, r]))
+            rng = np.random.default_rng([seed, r])
+            for d, vec in zip(dims, got):
+                z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                assert np.array_equal(vec, z / np.linalg.norm(z))
