@@ -194,6 +194,9 @@ def criterion_deviation_floor() -> tuple[bool, str]:
              if r.value < DEVIATION_FLOOR_2222 - DEVIATION_FLOOR_TOL]
     converged = sum(r.converged for r in report.restarts)
     reasons = collections.Counter(r.stop_reason for r in report.restarts)
+    iterations = sum(r.iterations for r in report.restarts)
+    skipped = sum(r.skipped_pairs for r in report.restarts)
+    resets = sum(r.memory_resets for r in report.restarts)
     ame44 = ame_mod.ame_deviation(catalog.make("AME44")).total
     ok = gap <= DEVIATION_FLOOR_TOL and not below and ame44 < 1e-12
     details = (
@@ -201,6 +204,7 @@ def criterion_deviation_floor() -> tuple[bool, str]:
         f"(tol {DEVIATION_FLOOR_TOL:.0e}); restarts below it: {below or 'none'}; "
         f"{converged}/{len(report.restarts)} converged, stop reasons: "
         f"{', '.join(f'{reason} {n}' for reason, n in sorted(reasons.items()))}; "
+        f"{iterations} iterations, {skipped} skipped pairs, {resets} memory resets; "
         f"AME44 deviation {ame44:.2e} (tol 1e-12)"
     )
     return ok, details

@@ -6,6 +6,7 @@ per-cut deviation ||d^2 M M^dagger - I||_F^2 vanishes exactly when that pair is
 maximally mixed.  Three cuts cover all six pairs of a four-party pure state.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,12 +35,22 @@ def _cuts(dims) -> tuple:
     return _CUTS_BY_PARTIES[len(dims)]
 
 
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def _cut_deltas(amps, dims) -> tuple:
     """Cut matrices M, deviations d * M M^dagger - I, and row parties of every cut."""
     rows = _cuts(dims)[1]
-    m, rho = pair_cuts(amps, dims, rows)
-    d = rho.shape[-1]
-    return m, d * rho - np.eye(d), rows
+    m, delta = pair_cuts(amps, dims, rows)
+    d = delta.shape[-1]
+    # pair_cuts returns a fresh reduction, so it becomes the deviation in place.
+    delta *= d
+    delta -= _identity(d)
+    return m, delta, rows
 
 
 def _per_cut(amps, dims) -> dict:
@@ -74,7 +85,8 @@ def deviation_value_and_gradient_raw(amps, dims):
     """
     m, delta, rows = _cut_deltas(amps, dims)
     g = scatter_cuts(delta @ m, dims, rows)
-    return float(np.vdot(delta, delta).real), 4.0 * delta.shape[-1] * g
+    g *= 4.0 * delta.shape[-1]
+    return float(np.vdot(delta, delta).real), g
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from quartet.ascent import (
+    MEMORY,
+    _CurvaturePairs,
+    _lbfgs_direction,
     ascend,
     maximize,
     stationarity_report,
@@ -170,3 +173,119 @@ def test_classification_separates_other_profiles():
     # a run stopped immediately at a product state keeps the OTHER label
     report = maximize(seed=0, restarts=1, max_iters=1, start=PureState(DIMS, np.eye(16)[0]))
     assert report.classifications[0] == "OTHER"
+
+
+# The L-BFGS direction and its memory of curvature pairs.
+
+
+def _two_loop(grad, pairs):
+    """Reference: the two-loop recursion over (s, y, 1 / s.y) tuples, oldest first."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    _, y, rho = pairs[-1]
+    r = q / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - rho * (y @ r)) * s
+    return r
+
+
+def _quadratic_pairs(count, n=32):
+    """``count`` pairs (s, A s) of one positive-definite A, so that s.y > 0, and a gradient."""
+    rng = np.random.default_rng([count, n])
+    b = rng.standard_normal((n, n))
+    a = b @ b.T + np.eye(n)
+    return [(s, a @ s) for s in rng.standard_normal((count, n))], rng.standard_normal(n)
+
+
+def _remembered(pairs):
+    memory = _CurvaturePairs(len(pairs[0][0]))
+    for s, y in pairs:
+        memory.push(s, y, s @ y)
+    return memory
+
+
+def _relative_error(found, expected):
+    return np.linalg.norm(found - expected) / np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("pushes", [1, 2, MEMORY, MEMORY + 3])
+def test_direction_matches_the_two_loop_recursion(pushes):
+    pairs, grad = _quadratic_pairs(pushes)
+    expected = _two_loop(grad, [(s, y, 1.0 / (s @ y)) for s, y in pairs[-MEMORY:]])
+    assert _relative_error(_lbfgs_direction(grad, _remembered(pairs)), expected) <= 1e-12
+
+
+@pytest.mark.parametrize("pushes", [1, 2, MEMORY, MEMORY + 3])
+def test_direction_maps_the_newest_fall_to_the_newest_step(pushes):
+    # The secant condition H y = s holds exactly for the newest pair of an L-BFGS estimate.
+    pairs, _ = _quadratic_pairs(pushes)
+    s, y = pairs[-1]
+    assert _relative_error(_lbfgs_direction(y, _remembered(pairs)), s) <= 1e-12
+
+
+def test_memory_keeps_the_last_pairs_oldest_first():
+    pairs, _ = _quadratic_pairs(MEMORY + 3)
+    memory = _remembered(pairs)
+    kept = pairs[3:]
+    assert memory.count == MEMORY
+    assert np.array_equal(memory.steps, [s for s, _ in kept])
+    assert np.array_equal(memory.falls, [y for _, y in kept])
+    assert memory.gamma == kept[-1][0] @ kept[-1][1] / (kept[-1][1] @ kept[-1][1])
+    r = np.triu(memory.steps @ memory.falls.T)
+    assert _relative_error(memory.r_inv, np.linalg.inv(r)) <= 1e-12
+
+
+def test_a_cleared_memory_starts_over():
+    pairs, grad = _quadratic_pairs(MEMORY + 3)
+    memory = _remembered(pairs[:5])
+    memory.count = 0
+    for s, y in pairs[5:]:
+        memory.push(s, y, s @ y)
+    fresh = _remembered(pairs[5:])
+    assert memory.count == fresh.count == MEMORY - 2
+    assert _lbfgs_direction(grad, memory).tobytes() == _lbfgs_direction(grad, fresh).tobytes()
+
+
+class _Counted(np.ndarray):
+    """An array that counts the numpy calls made on it and on the arrays computed from it."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _Counted.calls += 1
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        plain = [x.view(np.ndarray) if isinstance(x, _Counted) else x for x in inputs]
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0]
+        return result.view(_Counted) if isinstance(result, np.ndarray) else result
+
+    def __array_function__(self, func, types, args, kwargs):
+        _Counted.calls += 1
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def _numpy_calls(direction, pushes):
+    pairs, grad = _quadratic_pairs(pushes)
+    memory = _remembered(pairs)
+    for name in ("steps", "falls", "r_inv"):
+        setattr(memory, name, getattr(memory, name).view(_Counted))
+    _Counted.calls = 0
+    direction(grad.view(_Counted), memory)
+    return _Counted.calls
+
+
+def test_direction_makes_as_many_numpy_calls_for_one_pair_as_for_a_full_memory():
+    assert _numpy_calls(_lbfgs_direction, 1) == _numpy_calls(_lbfgs_direction, MEMORY)
+
+    def two_loop(grad, memory):
+        m = memory.count
+        return _two_loop(grad, list(zip(memory.steps[-m:], memory.falls[-m:],
+                                        memory.r_inv[-m:, -m:].diagonal())))
+
+    # The counter sees calls made per pair: the two-loop makes more with more pairs.
+    assert _numpy_calls(two_loop, MEMORY) > _numpy_calls(two_loop, 1)

@@ -264,7 +264,7 @@ def test_bad_optimizer_input_is_a_domain_error(capsys, argv):
 
 
 RECORD_KEYS = {"restart", "value", "grad_norm", "iterations", "converged", "stop_reason",
-               "evaluations"}
+               "evaluations", "skipped_pairs", "memory_resets"}
 
 
 def test_optimizer_restarts_report_stop_reasons(capsys):

@@ -174,7 +174,7 @@ def test_starts_are_drawn_when_their_restart_runs(monkeypatch):
 
     def recording_ascend(value_grad_fn, amps0, **kwargs):
         drawn_before_each_descent.append(len(draws))
-        return AscentOutcome(np.asarray(amps0), 0.0, 0.0, 0, True, "converged", 1)
+        return AscentOutcome(np.asarray(amps0), 0.0, 0.0, 0, True, "converged", 1, 0, 0)
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     first = next(haar_starts(DIMS, 10**12, 7))
@@ -231,6 +231,7 @@ def test_every_criterion_5_restart_converges_on_the_floor():
     for record, amps in zip(records, finals):
         assert (record.stop_reason, record.converged) == ("converged", True)
         assert abs(record.value - 4.0) <= 1e-9
+        assert (record.skipped_pairs, record.memory_resets) == (0, 0)
         _, g = deviation_value_and_gradient_raw(amps, DIMS)
         assert np.linalg.norm(g - np.real(np.vdot(amps, g)) * amps) < 1e-8
 
@@ -260,11 +261,38 @@ def test_restart_records_count_every_evaluation():
         calls.append(None)
         return deviation_value_and_gradient_raw(amps, dims)
 
-    records, _, _ = multistart(value_grad, DIMS, restarts=3, seed=0, max_iters=5000,
+    # Each of seed 2's first three descents rejects at least one trial.
+    records, _, _ = multistart(value_grad, DIMS, restarts=3, seed=2, max_iters=5000,
                                grad_tol=1e-8, minimize=True)
     assert len(calls) == sum(r.evaluations for r in records)
     # The start, one accepted trial per iteration, and the rejected trials.
     assert all(r.evaluations > r.iterations + 1 for r in records)
+
+
+def test_every_iteration_stores_or_skips_one_curvature_pair(monkeypatch):
+    pushed = []
+    real_push = ascent._CurvaturePairs.push
+
+    def recording_push(self, step, fall, curvature):
+        pushed.append(curvature)
+        real_push(self, step, fall, curvature)
+
+    monkeypatch.setattr(ascent._CurvaturePairs, "push", recording_push)
+    records = maximize(seed=0).restarts
+    skipped = sum(r.skipped_pairs for r in records)
+    assert len(pushed) + skipped == sum(r.iterations for r in records)
+    assert all(curvature > 0 for curvature in pushed)
+    # Seed 0's ascents meet pairs with Re<s, y> <= 0, and every direction ascends.
+    assert skipped > 0
+    assert [r.memory_resets for r in records] == [0] * 20
+
+
+def test_a_direction_that_does_not_ascend_clears_the_memory(monkeypatch):
+    monkeypatch.setattr(ascent, "_lbfgs_direction", lambda grad, pairs: -grad)
+    start = next(haar_starts(DIMS, 1, 0))
+    outcome = ascend(lambda a: value_and_gradient_raw(a, DIMS), start, max_iters=10)
+    # Every iteration after the first finds the pair of the one before and clears it.
+    assert (outcome.iterations, outcome.skipped_pairs, outcome.memory_resets) == (10, 0, 9)
 
 
 def test_maximize_makes_one_eigh_per_evaluation_and_no_eigvalsh_in_its_search(monkeypatch):
@@ -283,9 +311,10 @@ def test_maximize_makes_one_eigh_per_evaluation_and_no_eigvalsh_in_its_search(mo
 
 
 def test_deviation_descent_never_rises_by_more_than_the_tie():
-    starts = list(haar_starts(DIMS, 2, 0))
+    # Both of seed 7's first two descents accept a rise.
+    starts = list(haar_starts(DIMS, 2, 7))
     rises = 0
-    for record in minimize_deviation(DIMS, restarts=2, seed=0).restarts:
+    for record in minimize_deviation(DIMS, restarts=2, seed=7).restarts:
         start = PureState(DIMS, starts[record.restart])
         # Capping a descent at k iterations returns its k-th accepted point.
         floors = [deviation_value_raw(start.amps, DIMS)] + [
