@@ -16,9 +16,7 @@ from .core import (
     PureState,
     ShapeError,
     apply_local_unitary,
-    basis_state,
     from_terms,
-    inner,
     partial_trace,
     random_state,
     random_unitary,

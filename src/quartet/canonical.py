@@ -5,7 +5,9 @@ other parties fixed, the exact maximizer is the normalized contraction of the
 state against them.  The converged product vectors define per-party unitaries
 that rotate each maximizer to |0>, after which the coefficient of |0...0> is
 real nonnegative and every coefficient with a single party excited to level 1
-vanishes at a true fixed point.
+vanishes at a true fixed point.  Each step can only raise the overlap (the
+higher-order power method of De Lathauwer, De Moor and Vandewalle, 2000), so
+no contraction norm of a start falls after its first party step.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +22,6 @@ MAX_SWEEPS = 500
 RESIDUAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-14
 TIE_TOL = 1e-12
-_MAX_RESEEDS = 8
 # Every start's vectors are held at once, so the start count is bounded.
 MAX_RESTARTS = 4096
 
@@ -81,10 +82,9 @@ class RestartRecord:
     """What one start of the alternating search did.
 
     ``stop_reason`` is ``settled`` (a sweep after the first moved no contraction
-    off its axis by more than ``SWEEP_RESIDUAL_TOL``), ``max_sweeps`` (stopped
-    at ``MAX_SWEEPS`` without settling) or ``reseeds_exhausted`` (a degenerate
-    contraction after ``_MAX_RESEEDS`` reseeds).  ``sweeps`` counts the sweeps
-    since the last reseed.
+    off its axis by more than ``SWEEP_RESIDUAL_TOL``) or ``max_sweeps`` (stopped
+    at ``MAX_SWEEPS`` without settling).  ``reseeds`` is 1 for a computational
+    start that was replaced by a random one before the search, else 0.
     """
 
     restart: int
@@ -94,61 +94,55 @@ class RestartRecord:
     stop_reason: str
 
 
-def _alternate(t: np.ndarray, starts, rngs):
+def _alternate(t: np.ndarray, starts, reseeds):
     """Run alternating maximization from R product starts in lockstep.
 
-    ``starts[q]`` stacks party q's start vectors as ``(R, d_q)``; row r reseeds
-    from ``rngs[r]`` after a degenerate contraction.  A row stops once a sweep
-    after the first moves no contraction off its current axis by more than
-    ``SWEEP_RESIDUAL_TOL``.  That drift bounds the single-excitation
-    coefficients of the final form, so stopping on it (rather than on the
-    overlap increment, which saturates at float resolution long before the
-    vectors settle) is what keeps ``zero_residual`` small.
+    ``starts[q]`` stacks party q's start vectors as ``(R, d_q)``; ``reseeds[r]``
+    goes into row r's record.  Every row starts at sweep 1, and stops once a
+    sweep after the first moves no contraction off its current axis by more
+    than ``SWEEP_RESIDUAL_TOL`` or at ``MAX_SWEEPS``.  That drift bounds the
+    single-excitation coefficients of the final form, so stopping on it
+    (rather than on the overlap increment, which saturates at float resolution
+    long before the vectors settle) is what keeps ``zero_residual`` small.
 
     A party step is one matmul of the row-wise outer product of the other
     parties' conjugated vectors against the state held as a ``(D/d_p, d_p)``
     matrix; the drift of every party is taken once per sweep.  Every row
     sweeps until the last one stops; a row's vectors and record are taken in
-    the sweep where it stops, and its history is read from the per-sweep
-    overlap trace at the end.
+    the sweep where it stops, and its history is the first ``sweeps`` entries
+    of its column of the per-sweep overlap trace.
     Returns ``(vectors, histories, records)``, ``vectors[r]`` holding row r's
     final vector of each party.
     """
     n = t.ndim
-    rows = len(rngs)
+    rows = len(reseeds)
     offsets = np.cumsum((0,) + t.shape[:-1])
     fronts = [np.moveaxis(t, p, -1).reshape(-1, d) for p, d in enumerate(t.shape)]
     vectors = list(starts)
     conj = [v.conj() for v in vectors]
-    sweeps = np.zeros(rows, dtype=int)  # since the row's last reseed, this one included
-    first = [0] * rows  # trace index of the row's first sweep since its last reseed
-    reseeds = [0] * rows
     final = [None] * rows
     records = [None] * rows
     active = np.ones(rows, dtype=bool)
-    overlap = np.zeros(rows)
     trace = []
+    sweep = 0
     while active.any():
-        prior, prior_overlap = vectors[:], overlap
+        prior = vectors[:]
         # after[p] multiplies out the last sweep's conjugated vectors of the
         # parties after p; a one-party state contracts against a column of ones.
         after = [None] * (n - 1) + [None if n > 1 else np.ones((rows, 1))]
         for p in range(n - 1, 0, -1):
             after[p - 1] = _outer(conj[p], after[p])
         before = None  # the same for this sweep's vectors of the parties before p
-        contractions, norms, squares = [], [], []
+        contractions = []
         for p in range(n):
             v = _outer(before, after[p]) @ fronts[p]
             x = v.view(float)
-            sq = (x * x).sum(axis=1)
-            nv = np.sqrt(sq)
-            vectors[p] = v / np.maximum(nv, DEGENERACY_TOL)[:, None]
+            overlap = (x * x).sum(axis=1)  # after the last party, the sweep's overlap
+            vectors[p] = v / np.maximum(np.sqrt(overlap), DEGENERACY_TOL)[:, None]
             conj[p] = vectors[p].conj()
             if p < n - 1:
                 before = _outer(before, conj[p])
             contractions.append(v)
-            norms.append(nv)
-            squares.append(sq)
         # Component of each party's contraction orthogonal to the vector the
         # sweep replaced; zero exactly at a fixed point.  All parties sit side
         # by side along axis 1, party q's entries starting at offsets[q].
@@ -157,37 +151,16 @@ def _alternate(t: np.ndarray, starts, rngs):
         axial = np.add.reduceat(replaced.conj() * contracted, offsets, axis=1)
         x = (contracted - np.repeat(axial, t.shape, axis=1) * replaced).view(float)
         drift2 = np.add.reduceat(x * x, 2 * offsets, axis=1).max(axis=1)
-        sweeps += 1
-        overlap = squares[-1]
+        sweep += 1
         trace.append(overlap)
-        dead = np.minimum.reduce(norms) < DEGENERACY_TOL
-        settled = (sweeps > 1) & (np.sqrt(drift2) < SWEEP_RESIDUAL_TOL)
-        for r in np.flatnonzero(active & (dead | settled | (sweeps >= MAX_SWEEPS))).tolist():
-            if not dead[r]:
-                reason = "settled" if settled[r] else "max_sweeps"
-                value, vecs = overlap[r], [v[r] for v in vectors]
-            elif reseeds[r] < _MAX_RESEEDS:
-                for q, vec in enumerate(_random_product(t.shape, rngs[r])):
-                    vectors[q][r] = vec
-                    conj[q][r] = vec.conj()
-                reseeds[r] += 1
-                sweeps[r] = 0
-                first[r] = len(trace)
-                # Also this sweep's trace entry, which no history reads.
-                overlap[r] = 0.0
-                continue
-            else:
-                # The row keeps the overlap and vectors of its last live party.
-                p = next(p for p in range(n) if norms[p][r] < DEGENERACY_TOL)
-                reason = "reseeds_exhausted"
-                value = squares[p - 1][r] if p else prior_overlap[r]
-                vecs = [v[r] for v in vectors[:p] + prior[p:]]
-                sweeps[r] -= 1
-            records[r] = RestartRecord(r, int(sweeps[r]), reseeds[r], float(value), reason)
-            final[r] = vecs
+        settled = (sweep > 1) & (np.sqrt(drift2) < SWEEP_RESIDUAL_TOL)
+        for r in np.flatnonzero(active & (settled | (sweep >= MAX_SWEEPS))).tolist():
+            reason = "settled" if settled[r] else "max_sweeps"
+            records[r] = RestartRecord(r, sweep, reseeds[r], float(overlap[r]), reason)
+            final[r] = [v[r] for v in vectors]
             active[r] = False
     trace = np.array(trace)
-    histories = [trace[first[r]:first[r] + rec.sweeps, r].tolist() for r, rec in enumerate(records)]
+    histories = [trace[:rec.sweeps, r].tolist() for r, rec in enumerate(records)]
     return final, histories, records
 
 
@@ -215,8 +188,9 @@ class CanonicalForm:
 def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CanonicalForm:
     """Find the closest product state and rotate it onto |0...0>.
 
-    Runs one start from the computational product |0...0> plus ``restarts``
-    random product starts, all in lockstep, and keeps the largest overlap.  The
+    Runs one start from the computational product |0...0> (a random product
+    where its first contraction vanishes) plus ``restarts`` random product
+    starts, all in lockstep, and keeps the largest overlap.  The
     earliest start wins ties up to float noise, so a state already in canonical
     form comes back with identity rotations instead of whatever a random
     restart landed on.  ``restarts`` must be an integer in 1..``MAX_RESTARTS``,
@@ -232,11 +206,17 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
     dims = s.dims
     n = s.n_parties
 
-    rngs = [np.random.default_rng([seed, r]) for r in range(restarts + 1)]
-    products = [[np.eye(d, dtype=complex)[0] for d in dims]]
-    products += [_random_product(dims, rng) for rng in rngs[1:]]
+    # No party step lowers the overlap, so only a start's first contraction can
+    # vanish.  The computational start's is t[:, 0, ..., 0] (|M4>, |1...1>, the
+    # flipped W), and where it vanishes default_rng([seed, 0]) draws the start.
+    # A random start's vanishes on a set of measure zero, and such a row would
+    # settle at overlap 0 and lose the tie, so it gets no guard.
+    reseeded = int(np.linalg.norm(t.reshape(dims[0], -1)[:, 0]) < DEGENERACY_TOL)
+    products = [] if reseeded else [[np.eye(d, dtype=complex)[0] for d in dims]]
+    products += [_random_product(dims, np.random.default_rng([seed, r]))
+                 for r in range(1 - reseeded, restarts + 1)]
     starts = [np.array(column) for column in zip(*products)]
-    vectors, histories, records = _alternate(t, starts, rngs)
+    vectors, histories, records = _alternate(t, starts, [reseeded] + [0] * restarts)
 
     best = 0
     for r in range(1, restarts + 1):

@@ -79,14 +79,6 @@ class PureState:
         return self.amps.reshape(self.dims)
 
 
-def basis_state(dims, occupation) -> PureState:
-    """Computational basis state |occupation> for the given dims."""
-    dims = tuple(int(d) for d in dims)
-    amps = np.zeros(math.prod(dims), dtype=complex)
-    amps[np.ravel_multi_index(tuple(occupation), dims)] = 1.0
-    return PureState(dims, amps)
-
-
 def from_terms(dims, terms) -> PureState:
     """Build a state from a mapping of multi-indices to amplitudes."""
     dims = tuple(int(d) for d in dims)
@@ -94,13 +86,6 @@ def from_terms(dims, terms) -> PureState:
     for occ, coeff in terms.items():
         amps[np.ravel_multi_index(tuple(occ), dims)] += coeff
     return PureState(dims, amps)
-
-
-def inner(a: PureState, b: PureState) -> complex:
-    """Inner product <a|b>, conjugate-linear in the first argument."""
-    if a.dims != b.dims:
-        raise ShapeError(f"dims mismatch: {a.dims} vs {b.dims}")
-    return complex(np.vdot(a.amps, b.amps))
 
 
 def reduced_matrix(amps: np.ndarray, dims, keep) -> np.ndarray:

@@ -13,7 +13,7 @@ from quartet.core import (
     PureState,
     ShapeError,
     apply_local_unitary,
-    basis_state,
+    from_terms,
     pair_cuts,
     partial_trace,
     random_state,
@@ -82,7 +82,7 @@ def test_ame44_reshapes_are_unitary_up_to_scale():
 
 
 def test_deviation_zero_state():
-    dev = ame.ame_deviation(basis_state(DIMS, (0, 0, 0, 0)))
+    dev = ame.ame_deviation(from_terms(DIMS, {(0, 0, 0, 0): 1.0}))
     # delta = 4|00><00| - I per cut: 3^2 + 3 * 1 = 12.
     for cut in ame.CUTS:
         assert dev.per_cut[cut] == pytest.approx(12.0, abs=1e-12)

@@ -21,7 +21,7 @@ from quartet.core import (
     DomainError,
     PureState,
     apply_local_unitary,
-    inner,
+    from_terms,
     random_state,
     random_unitary,
 )
@@ -214,52 +214,43 @@ def _sequential_contract(t, vectors, skip):
     return out
 
 
-def _sequential_alternate(t, dims, vectors, rng):
+def _sequential_alternate(t, dims, vectors):
     """Reference: one start at a time, the loop the lockstep alternation replaced.
 
-    Returns ``(overlap, history, reseeds, stop_reason)``.
+    Returns ``(overlap, history, norms, stop_reason)``, ``norms`` holding every
+    party step's contraction norm in order.
     """
     vectors = [np.asarray(v, dtype=complex).copy() for v in vectors]
     history = []
-    overlap = 0.0
-    reseeds = 0
-    sweep = 0
-    while sweep < MAX_SWEEPS:
-        degenerate = False
+    norms = []
+    for sweep in range(1, MAX_SWEEPS + 1):
         drift = 0.0
         for p in range(len(dims)):
             v = _sequential_contract(t, vectors, p)
             nv = np.linalg.norm(v)
-            if nv < DEGENERACY_TOL:
-                degenerate = True
-                break
+            norms.append(float(nv))
             axial = (vectors[p].conj() @ v) * vectors[p]
             drift = max(drift, float(np.linalg.norm(v - axial)))
             vectors[p] = v / nv
-            overlap = float(nv * nv)
-        if degenerate:
-            if reseeds >= canonical._MAX_RESEEDS:
-                return overlap, history, reseeds, "reseeds_exhausted"
-            vectors = canonical._random_product(dims, rng)
-            reseeds += 1
-            overlap = 0.0
-            history.clear()
-            sweep = 0
-            continue
-        history.append(overlap)
-        sweep += 1
+        history.append(float(nv * nv))
         if sweep > 1 and drift < SWEEP_RESIDUAL_TOL:
-            return overlap, history, reseeds, "settled"
-    return overlap, history, reseeds, "max_sweeps"
+            return history[-1], history, norms, "settled"
+    return history[-1], history, norms, "max_sweeps"
 
 
 def _sequential_restarts(s, restarts, seed):
+    """Every start's reseed count and reference run.
+
+    A computational start whose first contraction vanishes is replaced, once
+    and before it runs, by the random product from ``default_rng([seed, 0])``.
+    """
     comp = [np.eye(d, dtype=complex)[0] for d in s.dims]
+    reseeded = np.linalg.norm(_sequential_contract(s.tensor(), comp, 0)) < DEGENERACY_TOL
     out = []
     for r in range(restarts + 1):
         rng = np.random.default_rng([seed, r])
-        start = comp if r == 0 else canonical._random_product(s.dims, rng)
-        out.append(_sequential_alternate(s.tensor(), s.dims, start, rng))
+        start = comp if r == 0 and not reseeded else canonical._random_product(s.dims, rng)
+        out.append((int(r == 0 and reseeded),) + _sequential_alternate(s.tensor(), s.dims, start))
     return out
 
 
@@ -273,21 +264,34 @@ def _chosen_start(records):
 
 def _assert_matches_sequential(form, reference):
     assert [r.restart for r in form.restarts] == list(range(len(reference)))
-    for record, (overlap, history, reseeds, reason) in zip(form.restarts, reference):
+    for record, (reseeds, overlap, history, _, reason) in zip(form.restarts, reference):
         assert record.sweeps == len(history)
         assert record.reseeds == reseeds
         assert abs(record.overlap - overlap) <= 1e-12
         assert record.stop_reason == reason
-    history = reference[_chosen_start(form.restarts)][1]
+    history = reference[_chosen_start(form.restarts)][2]
     assert len(form.history) == len(history)
     assert all(abs(a - b) <= 1e-12 for a, b in zip(form.history, history))
+
+
+def _with_vanishing_first_slice(dims, seed):
+    t = random_state(dims, np.random.default_rng(seed)).tensor().copy()
+    t.reshape(dims[0], -1)[:, 0] = 0.0
+    return PureState(dims, t.reshape(-1) / np.linalg.norm(t))
 
 
 _LOCKSTEP_CASES = [
     (dims, random_state(dims, np.random.default_rng([60, k])), k)
     for dims in ((2, 2, 2, 2), (3, 3, 3), (2, 2, 2, 2, 2), (4, 4, 4, 4), (2, 3, 2, 2))
     for k in range(2)
-] + [("M4", make("M4"), 0)]
+] + [
+    ("M4", make("M4"), 0),
+    ("1111", from_terms((2,) * 4, {(1, 1, 1, 1): 1.0}), 0),
+    # the W state with every qubit flipped: one |0> among three |1>
+    ("flipped-W4", from_terms((2,) * 4, {tuple(int(q != k) for q in range(4)): 0.5
+                                          for k in range(4)}), 1),
+    ("(3, 3, 3)-vanishing", _with_vanishing_first_slice((3, 3, 3), 65), 2),
+]
 
 
 @pytest.mark.parametrize("label,s,seed", _LOCKSTEP_CASES,
@@ -297,10 +301,16 @@ def test_lockstep_matches_sequential_restarts(label, s, seed):
     reference = _sequential_restarts(s, 8, seed)
     _assert_matches_sequential(form, reference)
     assert {r.stop_reason for r in form.restarts} == {"settled"}
-    if label == "M4":
-        # the computational start is degenerate: the reseed path is exercised
-        assert form.restarts[0].reseeds >= 1
+    vanishes = np.linalg.norm(s.tensor().reshape(s.dims[0], -1)[:, 0]) < DEGENERACY_TOL
+    assert vanishes == (label in {"M4", "1111", "flipped-W4", "(3, 3, 3)-vanishing"})
+    assert form.restarts[0].reseeds == int(vanishes)
+    assert all(r.reseeds == 0 for r in form.restarts[1:])
     assert form.sweeps in {r.sweeps for r in form.restarts}
+    # Each party step takes the exact maximizer with the others fixed, so the
+    # overlap, and with it every later contraction norm, can only rise.
+    for _, _, _, norms, _ in reference:
+        assert norms[0] >= DEGENERACY_TOL
+        assert all(b >= a * (1.0 - 1e-14) for a, b in zip(norms, norms[1:]))
 
 
 def test_restart_records_do_not_depend_on_batch_size():
@@ -344,32 +354,13 @@ def test_seeded_canonicalize_reruns_are_bitwise_identical():
         assert first.restarts == second.restarts
 
 
-def test_stop_reasons_tell_sweep_cap_and_exhausted_reseeds_apart(monkeypatch):
+def test_stop_reasons_tell_settled_and_sweep_cap_apart(monkeypatch):
     s = random_state((2, 2, 2, 2), np.random.default_rng(63))
     settled = canonicalize(s, restarts=3, seed=0).restarts
     assert {r.stop_reason for r in settled} == {"settled"}
     monkeypatch.setattr(canonical, "MAX_SWEEPS", 2)
     capped = canonicalize(s, restarts=3, seed=0)
     assert [(r.stop_reason, r.sweeps) for r in capped.restarts] == [("max_sweeps", 2)] * 4
-    monkeypatch.setattr(canonical, "_MAX_RESEEDS", 0)
-    m4 = canonicalize(make("M4"), restarts=3, seed=0).restarts
-    assert (m4[0].stop_reason, m4[0].sweeps, m4[0].reseeds) == ("reseeds_exhausted", 0, 0)
-    assert all(r.stop_reason != "reseeds_exhausted" for r in m4[1:])
-
-
-@pytest.mark.parametrize("cap", [0, 1])
-def test_exhausted_reseeds_match_sequential_restarts(monkeypatch, cap):
-    monkeypatch.setattr(canonical, "_MAX_RESEEDS", cap)
-    m4 = make("M4")
-    form = canonicalize(m4, restarts=8, seed=0)
-    _assert_matches_sequential(form, _sequential_restarts(m4, 8, 0))
-    # the computational start of |M4> is degenerate at its first party
-    first = form.restarts[0]
-    if cap == 0:
-        assert (first.stop_reason, first.sweeps, first.reseeds, first.overlap) == (
-            "reseeds_exhausted", 0, 0, 0.0)
-    else:
-        assert (first.stop_reason, first.reseeds) == ("settled", 1)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2, 2)])

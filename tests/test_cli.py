@@ -199,8 +199,8 @@ def test_canonicalize_reports_restarts_under_manifest_stats(tmp_path, capsys):
     records = payload["manifest"]["stats"]["restarts"]
     assert [r["restart"] for r in records] == [0, 1, 2, 3, 4]
     assert set(records[0]) == {"restart", "sweeps", "reseeds", "overlap", "stop_reason"}
-    # the computational start of |M4> is degenerate and reseeds once
-    assert records[0]["reseeds"] >= 1
+    # the computational start of |M4> vanishes and is replaced once, up front
+    assert records[0]["reseeds"] == 1
     assert {r["stop_reason"] for r in records} == {"settled"}
     assert payload["sweeps"] in {r["sweeps"] for r in records}
     _, again, _ = run_cli(capsys, argv)
