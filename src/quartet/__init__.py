@@ -9,7 +9,7 @@ from .ascent import (
     maximize,
     stationarity_report,
 )
-from .canonical import CanonicalForm, canonicalize, unitary_from_first_column
+from .canonical import CanonicalForm, canonicalize
 from .catalog import cat_state, make, tags
 from .core import (
     DomainError,
@@ -22,6 +22,7 @@ from .core import (
     random_unitary,
     state_from_json,
     state_to_json,
+    unitary_from_first_column,
 )
 from .entropy import EntropyProfile, fingerprint_match, fingerprint_residual, pair_entropies, profile
 from .measure import (

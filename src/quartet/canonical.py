@@ -2,19 +2,21 @@
 
 The overlap N = |<s|a_1 ... a_n>|^2 is maximized one party at a time; with the
 other parties fixed, the exact maximizer is the normalized contraction of the
-state against them.  The converged product vectors define per-party unitaries
-that rotate each maximizer to |0>, after which the coefficient of |0...0> is
-real nonnegative and every coefficient with a single party excited to level 1
-vanishes at a true fixed point.  Each step can only raise the overlap (the
-higher-order power method of De Lathauwer, De Moor and Vandewalle, 2000), so
-no contraction norm of a start falls after its first party step.
+state against them, so the overlap never falls (the higher-order power method
+of De Lathauwer, De Moor and Vandewalle, 2000) and no contraction norm of a
+start falls after its first party step.  The converged product vectors define
+per-party unitaries that rotate each maximizer to |0>, after which every
+coefficient with a single party excited to level 1 vanishes at a true fixed
+point.  A sweep ends on the last party's normalized contraction v / |v|, so
+the |0...0> coefficient <v / |v|, v> = |v| is real nonnegative as it stands.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, PureState, apply_kept_operator, check_count, check_normalized
+from .core import (DomainError, PureState, apply_kept_operator, check_count, check_normalized,
+                   unitary_from_first_column)
 
 DEFAULT_RESTARTS = 16
 SWEEP_RESIDUAL_TOL = 1e-10
@@ -24,29 +26,6 @@ DEGENERACY_TOL = 1e-14
 TIE_TOL = 1e-12
 # Every start's vectors are held at once, so the start count is bounded.
 MAX_RESTARTS = 4096
-
-
-def unitary_from_first_column(v) -> np.ndarray:
-    """Complete a unit vector to a unitary with that vector as first column.
-
-    Remaining columns come from Gram-Schmidt over the computational basis,
-    skipping the basis vector with the largest overlap against ``v`` (first
-    index wins ties), so the completion is deterministic and well conditioned.
-    A stack ``(..., d)`` of vectors gives the stack ``(..., d, d)`` of unitaries.
-    """
-    v = np.asarray(v, dtype=complex)
-    d = v.shape[-1]
-    cols = [v / np.linalg.norm(v, axis=-1, keepdims=True)]
-    skip = np.argmax(np.abs(v), axis=-1)
-    # Basis indices in ascending order, each row's skipped index moved last.
-    order = np.argsort(np.arange(d) == skip[..., None], axis=-1, kind="stable")
-    eye = np.eye(d, dtype=complex)
-    for j in range(d - 1):
-        w = eye[order[..., j]]
-        for c in cols:
-            w = w - np.sum(c.conj() * w, axis=-1, keepdims=True) * c
-        cols.append(w / np.linalg.norm(w, axis=-1, keepdims=True))
-    return np.stack(cols, axis=-1)
 
 
 def _outer(a, b):
@@ -223,18 +202,7 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
         if records[r].overlap > records[best].overlap + TIE_TOL:
             best = r
     overlap, history = records[best].overlap, histories[best]
-    vecs = list(vectors[best])
-
-    # Rotate the phase of the party-0 vector so the canonical |0...0| coefficient
-    # comes out real nonnegative.
-    amplitude = t
-    for v in reversed(vecs):
-        amplitude = amplitude @ v.conj()
-    amplitude = complex(amplitude)
-    if abs(amplitude) > 0:
-        vecs[0] = vecs[0] * (amplitude / abs(amplitude))
-
-    unitaries = [unitary_from_first_column(v).conj().T for v in vecs]
+    unitaries = [unitary_from_first_column(v).conj().T for v in vectors[best]]
     out = t
     for p, u in enumerate(unitaries):
         out = apply_kept_operator(out, u, (p,))

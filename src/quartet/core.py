@@ -3,7 +3,8 @@
 Amplitudes are stored flat in row-major order with party 0 most significant:
 for four parties the flat index of the multi-index (i, j, k, l) is
 ``((i*d1 + j)*d2 + k)*d3 + l``.  A ``PureState`` is immutable after construction
-and holds complex128 amplitudes.
+and holds complex128 amplitudes.  Local rotations complete a unit vector v by the
+Householder reflection that takes e_0 to v up to a phase, with v itself as column 0.
 """
 
 import functools
@@ -182,6 +183,24 @@ def random_unitary(d: int, rng) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
+
+
+def unitary_from_first_column(v) -> np.ndarray:
+    """Complete ``v`` to a unitary whose first column is ``v / |v|``.
+
+    The other columns are those of the Householder reflection I - w w^dagger / (1 + |h|),
+    where h is the first entry of v / |v| and w = v / |v| + (h / |h|) e_0 (e_0 where h = 0);
+    that sign leaves no cancellation, and e_0 completes to the identity.  A stack
+    ``(..., d)`` gives the stack ``(..., d, d)``, each bitwise its own single call.
+    """
+    v = np.asarray(v, dtype=complex)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    mag = np.abs(v[..., :1])
+    w = v.copy()
+    w[..., :1] += np.where(mag > 0, v[..., :1], 1) / np.where(mag > 0, mag, 1)
+    u = np.eye(v.shape[-1]) - w[..., :, None] * (w.conj() / (1 + mag))[..., None, :]
+    u[..., :, 0] = v
+    return u
 
 
 def party_index(party, n_parties: int) -> int:

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import unitary_from_first_column
 from .core import (DomainError, PARTY_LETTERS, PureState, ShapeError, check_count,
-                   check_normalized, party_index)
+                   check_normalized, party_index, unitary_from_first_column)
 from .entropy import stacked_pair_entropies
 
 PROB_FLOOR = 1e-14

@@ -14,7 +14,6 @@ from quartet.canonical import (
     SWEEP_RESIDUAL_TOL,
     CanonicalForm,
     canonicalize,
-    unitary_from_first_column,
 )
 from quartet.catalog import make
 from quartet.core import (
@@ -24,18 +23,26 @@ from quartet.core import (
     from_terms,
     random_state,
     random_unitary,
+    unitary_from_first_column,
 )
 
 
 def test_unitary_from_first_column_properties():
     rng = np.random.default_rng(1)
-    for d in (2, 3, 4):
-        for _ in range(10):
-            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            v = z / np.linalg.norm(z)
+    for d in range(2, 9):
+        eye = np.eye(d, dtype=complex)
+        cases = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(10)]
+        off = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        off[0] = 0.0
+        tiny = off.copy()
+        tiny[0] = 1e-300 * np.exp(0.7j)
+        cases += [off, tiny, eye[0], -eye[0], eye[d - 1]]
+        for v in cases:
             u = unitary_from_first_column(v)
-            assert np.max(np.abs(u[:, 0] - v)) < 1e-12
-            assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
+            assert np.array_equal(u[:, 0], v / np.linalg.norm(v, axis=-1, keepdims=True))
+            assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-14
+        # the computational start of a canonical state must come back unrotated
+        assert np.array_equal(unitary_from_first_column(eye[0]), eye)
 
 
 def test_unitary_completion_of_a_stack_is_bitwise_row_by_row():
@@ -123,8 +130,8 @@ def test_canonical_transform_consistency():
     assert np.max(np.abs(out.amps - form.state.amps)) < 1e-12
     # leading coefficient is the real nonnegative square root of the overlap
     lead = form.state.amps[0]
-    assert abs(lead.imag) < 1e-10
-    assert lead.real == pytest.approx(math.sqrt(form.overlap), abs=1e-10)
+    assert abs(lead.imag) <= 1e-13
+    assert lead.real == pytest.approx(math.sqrt(form.overlap), abs=1e-13)
 
 
 def test_canonical_transform_consistency_for_unequal_dims():
@@ -306,6 +313,11 @@ def test_lockstep_matches_sequential_restarts(label, s, seed):
     assert form.restarts[0].reseeds == int(vanishes)
     assert all(r.reseeds == 0 for r in form.restarts[1:])
     assert form.sweeps in {r.sweeps for r in form.restarts}
+    # The sweep ends on the last party's normalized contraction, so the |0...0>
+    # coefficient comes out real and equal to sqrt(overlap) with no phase fix.
+    lead = form.state.amps[0]
+    assert abs(lead.imag) <= 1e-13
+    assert abs(lead - math.sqrt(form.overlap)) <= 1e-13
     # Each party step takes the exact maximizer with the others fixed, so the
     # overlap, and with it every later contraction norm, can only rise.
     for _, _, _, norms, _ in reference:

@@ -22,7 +22,6 @@ from quartet.core import (
     party_index,
     random_state,
     random_unitary,
-    reduced_matrix,
     state_from_json,
     state_to_json,
 )
