@@ -43,6 +43,24 @@ def eigenvalue_entropy(lam):
     return -(kept * np.log2(kept)).sum(axis=-1)
 
 
+def spectra(rho) -> np.ndarray:
+    """Ascending eigenvalues ``(..., d)`` of each Hermitian positive semidefinite
+    matrix in a stack ``(..., d, d)``.
+
+    A 2x2 [[a, b], [b*, c]] takes the closed form: the larger eigenvalue is
+    (a + c + sqrt((a - c)^2 + 4|b|^2)) / 2, and the smaller is the determinant
+    ac - |b|^2, clipped at 0, over the larger rather than the difference of those
+    two terms, so neither is negative.  A larger stack takes one ``eigvalsh``.
+    """
+    if rho.shape[-1] != 2:
+        return np.linalg.eigvalsh(rho)
+    a, c = rho[..., 0, 0].real, rho[..., 1, 1].real
+    coherence = np.abs(rho[..., 0, 1]) ** 2
+    high = (a + c + np.sqrt((a - c) ** 2 + 4.0 * coherence)) / 2.0
+    low = np.maximum(a * c - coherence, 0.0) / np.where(high > 0.0, high, 1.0)
+    return np.stack([low, high], axis=-1)
+
+
 def entropy(rho) -> float:
     """Von Neumann entropy -tr(rho log2 rho) of a unit-trace Hermitian matrix."""
     if abs(np.trace(rho).real - 1.0) > UNIT_NORM_TOL:
@@ -73,7 +91,8 @@ def stacked_pair_entropies(amps, dims) -> np.ndarray:
     """Pair entropies ``(..., P)`` of every pure state in ``amps`` shaped ``(..., R)``.
 
     Pairs run in ``itertools.combinations`` order.  Sides of equal size share
-    one ``pair_cuts`` gather and one batched ``eigvalsh`` over the whole stack.
+    one ``pair_cuts`` gather and one ``spectra`` call over the whole stack, so a
+    qubit side costs no eigensolver.
     """
     dims = tuple(dims)
     if len(dims) < 3:
@@ -83,7 +102,7 @@ def stacked_pair_entropies(amps, dims) -> np.ndarray:
     out = np.empty(amps.shape[:-1] + (math.comb(len(dims), 2),))
     for index, sides in _pair_sides(dims):
         _, rho = pair_cuts(amps, dims, sides)
-        out[..., index] = eigenvalue_entropy(np.linalg.eigvalsh(rho))
+        out[..., index] = eigenvalue_entropy(spectra(rho))
     return out
 
 

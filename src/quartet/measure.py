@@ -3,17 +3,21 @@
 Measuring party p in an orthonormal basis contracts each basis bra onto that
 party's axis; the squared norm of the contraction is the Born probability and
 the renormalized remainder is the residual state on the other parties, with
-their original order preserved.
+their original order preserved.  A robustness report needs only the residuals'
+single-party reductions, and reads them from the state's own pair reductions:
+outcome b leaves party q with sigma_q(b) = (b^dagger x I) rho_pq (b x I), whose
+trace is the Born probability.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DomainError, PARTY_LETTERS, PureState, ShapeError, check_count,
-                   check_normalized, party_index, unitary_from_first_column)
-from .entropy import stacked_pair_entropies
+                   check_normalized, pair_cuts, party_index, unitary_from_first_column)
+from .entropy import eigenvalue_entropy, spectra, stacked_pair_entropies
 
 PROB_FLOOR = 1e-14
 ORTHO_TOL = 1e-10
@@ -168,6 +172,14 @@ def equivariance_overlap(s: PureState, party, u) -> float:
     return float(np.min(np.abs(np.sum(w[0].conj() * carried, axis=-1))[both]))
 
 
+@functools.lru_cache(maxsize=None)
+def _named_bases(d: int) -> np.ndarray:
+    """The computational basis, then |+>/|-> for a qubit, as one read-only stack."""
+    named = np.array([np.eye(d)] + ([_PLUS_MINUS] if d == 2 else []), dtype=complex)
+    named.setflags(write=False)
+    return named
+
+
 def _party_bases(parties: tuple, d: int, trials: int, seed: int) -> np.ndarray:
     """The bases a robustness report measures each of ``parties`` in, all of local
     dimension d, stacked (G, B, d, d): the computational basis, |+>/|-> for a
@@ -178,11 +190,13 @@ def _party_bases(parties: tuple, d: int, trials: int, seed: int) -> np.ndarray:
     on that generator; so trial t depends neither on ``trials`` nor on the other
     parties, and trial 0 is the basis ``quartet measure --basis random`` uses.
     """
-    normals = np.stack([np.random.default_rng([seed, p]).standard_normal((trials, 2 * d))
-                        for p in parties])
-    named = np.array([np.eye(d)] + ([_PLUS_MINUS] if d == 2 else []), dtype=complex)
-    bases = np.concatenate([np.broadcast_to(named, (len(parties),) + named.shape),
-                            _gaussian_bases(normals)], axis=1)
+    named = _named_bases(d)
+    normals = np.empty((len(parties), trials, 2 * d))
+    for row, p in zip(normals, parties):
+        np.random.default_rng([seed, p]).standard_normal(out=row)
+    bases = np.empty((len(parties), len(named) + trials, d, d), dtype=complex)
+    bases[:, :len(named)] = named
+    bases[:, len(named):] = _gaussian_bases(normals)
     _check_orthonormal(bases)
     return bases
 
@@ -194,12 +208,17 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
     and ``trials`` Haar-random bases drawn from one ``default_rng([seed, party])``
     stream, trial 0 first (see ``_party_bases``).  Random bases contribute
     min/max/mean statistics per remaining pair; each basis also carries a
-    fragility flag (every residual entropy below 1e-10).  Parties whose
-    residuals have equal dims are measured in one pass: one basis completion,
-    one contraction and one batched ``stacked_pair_entropies`` call over all
-    their bases, which for equal local dims and up to 1022 trials is every
-    party.  A pass holds no more bases than one party at ``MAX_TRIALS``, and
-    ``trials`` must be an integer in 1..``MAX_TRIALS``.
+    fragility flag (every residual entropy below 1e-10).
+
+    No residual state is built: outcome b of measuring party p leaves party q
+    with sigma_q(b) = (b^dagger x I) rho_pq (b x I), rho_pq the state's own
+    reduction, whose trace is the Born probability, and the residual pair
+    without q has the entropy of sigma_q.  One ``pair_cuts`` call per (d_p, d_q)
+    group gives every rho_pq.  Parties whose residuals have equal dims share a
+    pass: one basis completion, one batched matmul of the outer products
+    conj(b) x b against the rho_pq, and one ``spectra`` call per residual dim,
+    in closed form for a qubit.  A pass holds no more bases than one party at
+    ``MAX_TRIALS``, and ``trials`` must be an integer in 1..``MAX_TRIALS``.
     """
     if s.n_parties != 4:
         raise DomainError(f"robustness_report is defined for four parties, got {s.n_parties}")
@@ -207,6 +226,16 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
     if trials > MAX_TRIALS:
         raise DomainError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     check_count("seed", seed)
+    check_normalized(s.amps)
+    cuts = {}
+    for p, q in itertools.permutations(range(4), 2):
+        cuts.setdefault((s.dims[p], s.dims[q]), []).append((p, q))
+    # blocks[p, q][(i, i'), (j, j')] = rho_pq[(i, j), (i', j')], so sigma_q(b) = (conj(b) x b) @ blocks[p, q].
+    blocks = {}
+    for (dp, dq), rows in cuts.items():
+        _, rho = pair_cuts(s.amps, s.dims, tuple(rows))
+        blocks.update(zip(rows, rho.reshape(-1, dp, dq, dp, dq).swapaxes(2, 3)
+                          .reshape(-1, dp * dp, dq * dq)))
     groups = {}
     for p in range(4):
         groups.setdefault(s.dims[:p] + s.dims[p + 1:], []).append(p)
@@ -216,26 +245,51 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
               for i in range(0, len(parties), size)]
     entries, low, high, total, count = {}, np.inf, -np.inf, 0.0, 0
     for rest, parties in passes:
-        probs, w, defined = _branches(s, parties, _party_bases(parties, s.dims[parties[0]],
-                                                                trials, seed))
-        # A three-party residual has three pairs.
-        ents = np.zeros(defined.shape + (3,))
-        ents[defined] = stacked_pair_entropies(w[defined], rest)
-        # Undefined branches keep zero entropies; they cannot decide fragility,
-        # because every basis of a normalized state has a defined branch.
-        fragile = np.all(ents < FRAGILE_TOL, axis=(2, 3)).tolist()
-        n_named = defined.shape[1] - trials
+        d = s.dims[parties[0]]
+        bases = _party_bases(parties, d, trials, seed)
+        n_bases = bases.shape[1]
+        vecs = bases.reshape(len(parties), -1, d)
+        # Residual position k (party q = others[k]) is the complement of pair 2 - k in
+        # combinations order.  Columns run by dim, so that each dim is one slice, and
+        # within a dim from the last position down, so that equal dims give pair order.
+        order = sorted(range(2, -1, -1), key=rest.__getitem__)
+        others = [[q for q in range(4) if q != p] for p in parties]
+        sigma = ((vecs.conj()[..., :, None] * vecs[..., None, :]).reshape(len(parties), -1, d * d)
+                 @ np.stack([np.concatenate([blocks[p, qs[k]] for k in order], axis=1)
+                             for p, qs in zip(parties, others)]))
+        # Rows are (basis, outcome).  The Born probability is the trace of the first
+        # sigma, whose diagonal is every (e + 1)-th of the first e * e columns.
+        e = rest[order[0]]
+        probs = sigma[..., :e * e:e + 1].real.sum(axis=-1)
+        defined = probs >= PROB_FLOOR
+        ents = np.zeros(probs.shape + (3,))
+        start = 0
+        for e, ks in itertools.groupby(order, key=rest.__getitem__):
+            index = [2 - k for k in ks]
+            stop = start + len(index) * e * e
+            sig = sigma[..., start:stop].reshape(probs.shape + (len(index), e, e))
+            traces = np.einsum("...ii->...", sig).real
+            # Undefined branches keep zero entropies; their spectra are not normalized.
+            lam = spectra(sig) / np.where(defined[..., None], traces, 1.0)[..., None]
+            ents[..., index] = np.where(defined[..., None], eigenvalue_entropy(lam), 0.0)
+            start = stop
+        # Undefined branches cannot decide fragility, because every basis of a
+        # normalized state has a defined branch.
+        fragile = np.all(ents.reshape(len(parties), n_bases, -1) < FRAGILE_TOL, axis=-1).tolist()
+        n_named = n_bases - trials
         # Each party's random trials give min/max/mean per pair over defined branches only.
-        random, kept = ents[:, n_named:], defined[:, n_named:, :, None]
-        lows = np.where(kept, random, np.inf).min(axis=(1, 2))
-        highs = np.where(kept, random, -np.inf).max(axis=(1, 2))
-        sums = np.where(kept, random, 0.0).sum(axis=(1, 2))
-        counts = kept.sum(axis=(1, 2))
-        stats = np.stack([lows, highs, sums / counts], axis=-1).tolist()
+        random, kept = ents[:, n_named * d:], defined[:, n_named * d:, None]
+        lows = np.where(kept, random, np.inf).min(axis=1)
+        highs = np.where(kept, random, -np.inf).max(axis=1)
+        sums = np.where(kept, random, 0.0).sum(axis=1)
+        counts = kept.sum(axis=1)
+        # A mean of equal values can round one ulp outside them.
+        stats = np.stack([lows, highs, np.clip(sums / counts, lows, highs)], axis=-1).tolist()
         low, high = min(low, lows.min()), max(high, highs.max())
         total, count = total + sums.sum(), count + 3 * int(counts.sum())
         named_probs, named_ents, named_defined = (
-            a[:, :n_named].tolist() for a in (probs, ents, defined))
+            a[:, :n_named * d].reshape((len(parties), n_named, d) + a.shape[2:]).tolist()
+            for a in (probs, ents, defined))
         for g, p in enumerate(parties):
             _, pairs = _residual_pairs(p, 4)
             entry = {}
@@ -253,6 +307,7 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
                 "fragile_trials": [t for t in range(trials) if fragile[g][n_named + t]],
             }
             entries[p] = entry
+    mean = min(max(total / count, low), high)
     return {"trials": trials, "seed": seed,
             "per_party": {PARTY_LETTERS[p]: entries[p] for p in range(4)},
-            "overall": {"min": float(low), "max": float(high), "mean": float(total / count)}}
+            "overall": {"min": float(low), "max": float(high), "mean": float(mean)}}

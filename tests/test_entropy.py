@@ -25,7 +25,9 @@ from quartet.entropy import (
     pair_entropies,
     pair_parties,
     profile,
+    spectra,
 )
+from quartet.measure import PROB_FLOOR
 
 TARGET = 1.0 + 0.5 * math.log2(3.0)
 
@@ -61,6 +63,48 @@ def test_eigenvalue_entropy_edge_cases():
     assert eigenvalue_entropy([1.0, 0.0, 1e-16]) == 0.0
     with pytest.raises(DomainError):
         eigenvalue_entropy([1.1, -0.1])
+
+
+def _qubit_edge_cases():
+    """Unit-trace 2x2 density matrices at the edges of the closed form."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(4):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v /= np.linalg.norm(v)
+        cases.append(np.outer(v, v.conj()))
+    cases += [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2]
+    cases += [np.diag([p, 1.0 - p]) for p in (1e-16, 1e-8, 0.3, 0.5)]
+    # Equal diagonals with a coherence of every size: a pure |+>-type state at |b| = 1/2.
+    cases += [np.array([[0.5, b], [np.conj(b), 0.5]])
+              for b in (0.5, -0.5, 0.5j, 0.25, 0.5 * np.exp(1j), 1e-9j)]
+    cases += [np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, 0.3]]),
+              np.array([[0.9, 0.3j], [-0.3j, 0.1]])]
+    return np.array(cases, dtype=complex)
+
+
+def test_qubit_spectra_in_closed_form_match_eigvalsh():
+    rng = np.random.default_rng(6)
+    stacks = [_qubit_edge_cases()]
+    for rank in (1, 2):
+        a = rng.standard_normal((500, 2, rank)) + 1j * rng.standard_normal((500, 2, rank))
+        rho = a @ a.conj().swapaxes(-1, -2)
+        stacks.append(rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None])
+    unit = np.concatenate(stacks)
+    # Traces from 1 down to the smallest Born probability a report reads.
+    for trace in (1.0, 0.37, 1e-3, 1e-9, PROB_FLOOR):
+        rho = trace * unit
+        lam, expected = spectra(rho), np.linalg.eigvalsh(rho)
+        assert lam.shape == expected.shape and np.all(lam >= 0.0)
+        assert np.max(np.abs(lam / trace - expected / trace)) <= 1e-15
+        assert np.max(np.abs(eigenvalue_entropy(lam / trace)
+                             - eigenvalue_entropy(expected / trace))) <= 1e-13
+
+
+def test_spectra_of_larger_matrices_are_eigvalsh():
+    a = np.random.default_rng(7).standard_normal((3, 4, 4)) + 0j
+    rho = a @ a.conj().swapaxes(-1, -2)
+    assert np.array_equal(spectra(rho), np.linalg.eigvalsh(rho))
 
 
 def test_entropy_requires_unit_trace():

@@ -211,6 +211,9 @@ def test_robustness_report_c4_flags_fragile_bases():
     for letter in "ABCD":
         entry = report["per_party"][letter]
         assert entry["computational"]["fragile"]
+        for outcome in entry["computational"]["outcomes"]:
+            assert outcome["probability"] == pytest.approx(0.5, abs=1e-15)
+            assert all(v == 0.0 for v in outcome["entropies"].values())
         assert not entry["plusminus"]["fragile"]
     # Overall statistics pool only the random-basis trials.
     overall = report["overall"]

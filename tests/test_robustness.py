@@ -109,6 +109,9 @@ ORACLE_STATES = {
     **{f"random{dims}": (lambda d=dims: random_state(d, np.random.default_rng([80, *d])))
        for dims in ((2, 2, 2, 2), (4, 4, 4, 4), (2, 3, 4, 2))},
     "|0000>": lambda: from_terms((2, 2, 2, 2), {(0, 0, 0, 0): 1.0}),
+    # Computational outcome 1 of every party has probability 1e-20, below PROB_FLOOR but not 0.
+    "|0000>+1e-10|1111>": lambda: from_terms((2, 2, 2, 2), {(0, 0, 0, 0): np.sqrt(1 - 1e-20),
+                                                           (1, 1, 1, 1): 1e-10}),
 }
 
 
@@ -164,11 +167,12 @@ def test_report_bases_continue_the_cli_random_basis(tmp_path, capsys, monkeypatc
     # whether p has a pass of its own or shares one.
     seen = {}
 
-    def recording(state, parties, vectors):
-        seen.update(zip(parties, vectors))
-        return _branches(state, parties, vectors)
+    def recording(parties, d, trials, seed):
+        bases = _party_bases(parties, d, trials, seed)
+        seen.update(zip(parties, bases))
+        return bases
 
-    monkeypatch.setattr(measure_mod, "_branches", recording)
+    monkeypatch.setattr(measure_mod, "_party_bases", recording)
     path = tmp_path / "state.json"
     for dims in ((2, 3, 4, 2), (2, 2, 2, 2)):
         s = random_state(dims, np.random.default_rng(82))
@@ -201,7 +205,9 @@ def test_a_report_builds_one_generator_per_party(monkeypatch, trials):
 
 
 # Parties whose residuals have equal dims share one pass, split so that a pass holds
-# no more bases than one party at MAX_TRIALS; each pass makes one call of each step.
+# no more bases than one party at MAX_TRIALS; each pass draws and completes its bases
+# in one call each.  The state's norm is checked once, and its pair reductions come
+# from one pair_cuts call per (d_p, d_q) group of ordered pairs, whatever the passes.
 @pytest.mark.parametrize("dims, max_trials, passes", [
     ((2, 2, 2, 2), 4096, [(0, 1, 2, 3)]),
     ((4, 4, 4, 4), 4096, [(0, 1, 2, 3)]),
@@ -214,8 +220,8 @@ def test_a_report_builds_one_generator_per_party(monkeypatch, trials):
 def test_a_report_makes_one_call_per_pass(monkeypatch, dims, max_trials, passes):
     s = random_state(dims, np.random.default_rng(85))
     expected = _sequential_report(s, 4, 2)
-    calls = {"_branches": [], "unitary_from_first_column": [], "check_normalized": [],
-             "stacked_pair_entropies": []}
+    calls = {"_party_bases": [], "unitary_from_first_column": [], "check_normalized": [],
+             "pair_cuts": []}
     for name, log in calls.items():
         def counted(*args, _original=getattr(measure_mod, name), _log=log):
             _log.append(args)
@@ -223,9 +229,47 @@ def test_a_report_makes_one_call_per_pass(monkeypatch, dims, max_trials, passes)
         monkeypatch.setattr(measure_mod, name, counted)
     monkeypatch.setattr(measure_mod, "MAX_TRIALS", max_trials)
     report = robustness_report(s, trials=4, seed=2)
-    assert [tuple(args[1]) for args in calls["_branches"]] == passes
-    assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, len(passes))
+    assert [tuple(args[0]) for args in calls["_party_bases"]] == passes
+    assert len(calls["unitary_from_first_column"]) == len(passes)
+    assert len(calls["check_normalized"]) == 1
+    cut_groups = [{(dims[p], dims[q]) for p, q in args[2]} for args in calls["pair_cuts"]]
+    assert all(len(group) == 1 for group in cut_groups)
+    assert len(cut_groups) == len({(dims[p], dims[q]) for p, q in itertools.permutations(range(4), 2)})
+    assert sorted(pair for args in calls["pair_cuts"] for pair in args[2]) == sorted(
+        itertools.permutations(range(4), 2))
     assert_same_report(report, expected)
+
+
+def test_a_report_builds_no_residual_state(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("residual route called")
+
+    monkeypatch.setattr(measure_mod, "_branches", forbidden)
+    monkeypatch.setattr(measure_mod, "stacked_pair_entropies", forbidden)
+    for dims in ((2, 2, 2, 2), (2, 3, 4, 2)):
+        robustness_report(random_state(dims, np.random.default_rng(86)), trials=3)
+    robustness_report(catalog.make("C4"), trials=3)
+
+
+# M4's residual entropies are all equal, and a mean of equal values can round one
+# ulp outside them; the report keeps every mean within its min and max.
+ORDERING_STATES = {
+    "M4": lambda: catalog.make("M4"),
+    "C4": lambda: catalog.make("C4"),
+    **{f"random{i}": (lambda i=i: random_state(((2, 2, 2, 2), (2, 3, 4, 2), (4, 4, 4, 4))[i % 3],
+                                               np.random.default_rng([87, i])))
+       for i in range(10)},
+}
+
+
+@pytest.mark.parametrize("name", list(ORDERING_STATES))
+def test_report_means_lie_within_their_min_and_max(name):
+    report = robustness_report(ORDERING_STATES[name](), trials=64, seed=1)
+    rows = [stats for entry in report["per_party"].values()
+            for stats in entry["random"]["pairs"].values()] + [report["overall"]]
+    assert len(rows) == 13
+    for stats in rows:
+        assert stats["min"] <= stats["mean"] <= stats["max"]
 
 
 # ------------------------------------------------------------ equivariance overlap
