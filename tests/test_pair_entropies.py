@@ -71,23 +71,27 @@ def test_profile_makes_one_eigvalsh_call(eigvalsh_calls):
     assert eigvalsh_calls == [(6, 4, 4)]
 
 
-def test_qubit_residuals_and_reports_make_no_eigvalsh_call(eigvalsh_calls):
-    # A three-party residual reads each pair from its single-party complement, and a
-    # report reads every residual pair from a single-party reduction: for qubits
-    # these are 2x2, and their spectra come in closed form.
-    s = random_state((2, 2, 2, 2), np.random.default_rng(71))
-    for outcome in measure(s, random_basis(2, 2, np.random.default_rng(72))):
-        residual_pair_entropies(outcome.residual, 2, 4)
-    robustness_report(random_state((2, 2, 2, 2), np.random.default_rng(73)), trials=8)
-    assert eigvalsh_calls == []
+def test_residual_pair_entropies_make_one_eigvalsh_call_per_residual(eigvalsh_calls):
+    # A three-party residual reads each pair from its single-party complement: one
+    # stacked call for qutrits, none for qubits, whose 2x2 spectra come in closed form.
+    for dim, calls in ((3, [(3, 3, 3)]), (2, [])):
+        eigvalsh_calls.clear()
+        s = random_state((dim,) * 4, np.random.default_rng(71))
+        outcomes = measure(s, random_basis(2, dim, np.random.default_rng(72)))
+        for outcome in outcomes:
+            residual_pair_entropies(outcome.residual, 2, 4)
+        assert eigvalsh_calls == calls * len(outcomes)
 
 
-@pytest.mark.parametrize("dims, shape", [((4, 4, 4, 4), (4, 36, 3, 4, 4))], ids=["4444"])
-def test_robustness_report_makes_one_eigvalsh_call(eigvalsh_calls, dims, shape):
-    # Four parties of 9 ququart bases with 4 outcomes, each leaving three
-    # single-party reductions: every one of the report in one stacked call.
+@pytest.mark.parametrize("dims, calls", [((2, 2, 2, 2), []),
+                                         ((4, 4, 4, 4), [(4, 36, 3, 4, 4)])],
+                         ids=["2222", "4444"])
+def test_robustness_report_makes_one_eigvalsh_call(eigvalsh_calls, dims, calls):
+    # Every residual pair is read from a single-party reduction.  Four parties of 9
+    # ququart bases with 4 outcomes, each leaving three: all in one stacked call.
+    # Qubit reductions are 2x2, with closed-form spectra: no call at all.
     robustness_report(random_state(dims, np.random.default_rng(73)), trials=8)
-    assert eigvalsh_calls == [shape]
+    assert eigvalsh_calls == calls
 
 
 def test_residual_without_a_proper_pair_reports_no_entropies():
