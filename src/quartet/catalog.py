@@ -7,7 +7,6 @@ two-qubit and one-qubit vectors, and a four-level four-party tensor whose pair
 reductions are all maximally mixed.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -118,17 +117,11 @@ def tags() -> tuple:
     return tuple(_BUILDERS)
 
 
-@functools.lru_cache(maxsize=None)
-def _built(key: str) -> PureState:
-    return _BUILDERS[key]()
-
-
 def make(tag: str) -> PureState:
-    """The catalog state of a tag (case-insensitive, surrounding whitespace ignored).
-
-    States are immutable, so each tag's state is built once and every call returns it.
-    """
+    """Construct a catalog state by tag (case-insensitive)."""
     key = str(tag).strip().upper()
-    if key not in _BUILDERS:
-        raise DomainError(f"unknown catalog tag {tag!r}; known tags: {', '.join(tags())}")
-    return _built(key)
+    try:
+        builder = _BUILDERS[key]
+    except KeyError:
+        raise DomainError(f"unknown catalog tag {tag!r}; known tags: {', '.join(tags())}") from None
+    return builder()

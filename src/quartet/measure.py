@@ -6,10 +6,9 @@ the renormalized remainder is the residual state on the other parties, with
 their original order preserved.  A robustness report needs only the residuals'
 single-party reductions, and reads them from the state's own pair reductions:
 outcome b leaves party q with sigma_q(b) = (b^dagger x I) rho_pq (b x I), whose
-trace is the Born probability.
+trace is the Born probability.  Only a branch of small probability is contracted.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,6 +21,9 @@ from .entropy import eigenvalue_entropy, spectra, stacked_pair_entropies
 PROB_FLOOR = 1e-14
 ORTHO_TOL = 1e-10
 FRAGILE_TOL = 1e-10
+# A robustness report reads a branch of smaller Born probability from its own contracted
+# vector rather than from the pair reductions (see ``robustness_report``).
+SIGMA_PROB = 0.05
 # A robustness pass holds every basis of its parties at once, so the trial count is bounded.
 MAX_TRIALS = 4096
 _PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -88,6 +90,13 @@ class MeasurementOutcome:
     residual: PureState
 
 
+def _fronts(s: PureState, parties: tuple, d: int) -> np.ndarray:
+    """The amplitudes of ``s`` as (G, d, R) matrices, party ``parties[g]`` on the rows
+    of matrix g and the other parties, in their original order, on its columns."""
+    t = s.tensor()
+    return np.stack([np.moveaxis(t, party, 0).reshape(d, -1) for party in parties])
+
+
 def _branches(s: PureState, parties: tuple, vectors: np.ndarray) -> tuple:
     """Measure each of ``parties`` in every basis of its stack at once: ``vectors``
     (G, B, d, d) holds the B bases of party ``parties[g]`` in row g, and every
@@ -109,9 +118,7 @@ def _branches(s: PureState, parties: tuple, vectors: np.ndarray) -> tuple:
             raise ShapeError(f"basis dimension {d} does not match party "
                              f"dimension {s.dims[party]}")
     check_normalized(s.amps)
-    t = s.tensor()
-    fronts = np.stack([np.moveaxis(t, party, 0).reshape(d, -1) for party in parties])
-    w = (vectors.conj().reshape(g, b * d, d) @ fronts).reshape(g, b, d, -1)
+    w = (vectors.conj().reshape(g, b * d, d) @ _fronts(s, parties, d)).reshape(g, b, d, -1)
     probs = np.linalg.norm(w, axis=-1) ** 2
     defined = probs >= PROB_FLOOR
     w[defined] /= np.sqrt(probs[defined])[:, None]
@@ -172,14 +179,6 @@ def equivariance_overlap(s: PureState, party, u) -> float:
     return float(np.min(np.abs(np.sum(w[0].conj() * carried, axis=-1))[both]))
 
 
-@functools.lru_cache(maxsize=None)
-def _named_bases(d: int) -> np.ndarray:
-    """The computational basis, then |+>/|-> for a qubit, as one read-only stack."""
-    named = np.array([np.eye(d)] + ([_PLUS_MINUS] if d == 2 else []), dtype=complex)
-    named.setflags(write=False)
-    return named
-
-
 def _party_bases(parties: tuple, d: int, trials: int, seed: int) -> np.ndarray:
     """The bases a robustness report measures each of ``parties`` in, all of local
     dimension d, stacked (G, B, d, d): the computational basis, |+>/|-> for a
@@ -190,13 +189,11 @@ def _party_bases(parties: tuple, d: int, trials: int, seed: int) -> np.ndarray:
     on that generator; so trial t depends neither on ``trials`` nor on the other
     parties, and trial 0 is the basis ``quartet measure --basis random`` uses.
     """
-    named = _named_bases(d)
-    normals = np.empty((len(parties), trials, 2 * d))
-    for row, p in zip(normals, parties):
-        np.random.default_rng([seed, p]).standard_normal(out=row)
-    bases = np.empty((len(parties), len(named) + trials, d, d), dtype=complex)
-    bases[:, :len(named)] = named
-    bases[:, len(named):] = _gaussian_bases(normals)
+    normals = np.stack([np.random.default_rng([seed, p]).standard_normal((trials, 2 * d))
+                        for p in parties])
+    named = np.array([np.eye(d)] + ([_PLUS_MINUS] if d == 2 else []), dtype=complex)
+    bases = np.concatenate([np.broadcast_to(named, (len(parties),) + named.shape),
+                            _gaussian_bases(normals)], axis=1)
     _check_orthonormal(bases)
     return bases
 
@@ -210,14 +207,17 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
     min/max/mean statistics per remaining pair; each basis also carries a
     fragility flag (every residual entropy below 1e-10).
 
-    No residual state is built: outcome b of measuring party p leaves party q
+    Most branches build no residual state: outcome b of measuring party p leaves q
     with sigma_q(b) = (b^dagger x I) rho_pq (b x I), rho_pq the state's own
     reduction, whose trace is the Born probability, and the residual pair
     without q has the entropy of sigma_q.  One ``pair_cuts`` call per (d_p, d_q)
     group gives every rho_pq.  Parties whose residuals have equal dims share a
     pass: one basis completion, one batched matmul of the outer products
     conj(b) x b against the rho_pq, and one ``spectra`` call per residual dim,
-    in closed form for a qubit.  A pass holds no more bases than one party at
+    in closed form for a qubit.  A branch whose sigma has trace below
+    ``SIGMA_PROB`` loses too many digits to cancellation; it is read from its
+    own contracted vector instead, all such branches of a pass in one
+    ``stacked_pair_entropies`` call.  A pass holds no more bases than one party at
     ``MAX_TRIALS``, and ``trials`` must be an integer in 1..``MAX_TRIALS``.
     """
     if s.n_parties != 4:
@@ -261,17 +261,30 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
         # sigma, whose diagonal is every (e + 1)-th of the first e * e columns.
         e = rest[order[0]]
         probs = sigma[..., :e * e:e + 1].real.sum(axis=-1)
-        defined = probs >= PROB_FLOOR
+        # sigma carries a round-off of about 1e-16 whatever its trace P, and normalizing
+        # its spectrum magnifies that to 1e-16 / P.  A branch below SIGMA_PROB takes its
+        # probability and entropies from its contracted vector, whose round-off scales with P.
+        near = probs < SIGMA_PROB
         ents = np.zeros(probs.shape + (3,))
+        if near.any():
+            rows = np.nonzero(near)
+            w = (vecs[rows].conj()[:, None] @ _fronts(s, parties, d)[rows[0]])[:, 0]
+            probs[rows] = np.linalg.norm(w, axis=-1) ** 2
+            read = probs[rows] >= PROB_FLOOR
+            ents[tuple(r[read] for r in rows)] = stacked_pair_entropies(
+                w[read] / np.sqrt(probs[rows][read])[:, None], rest)
+        defined = probs >= PROB_FLOOR
+        from_sigma = defined & ~near
         start = 0
         for e, ks in itertools.groupby(order, key=rest.__getitem__):
             index = [2 - k for k in ks]
             stop = start + len(index) * e * e
             sig = sigma[..., start:stop].reshape(probs.shape + (len(index), e, e))
             traces = np.einsum("...ii->...", sig).real
-            # Undefined branches keep zero entropies; their spectra are not normalized.
-            lam = spectra(sig) / np.where(defined[..., None], traces, 1.0)[..., None]
-            ents[..., index] = np.where(defined[..., None], eigenvalue_entropy(lam), 0.0)
+            # Only the branches read here are normalized; the others keep their entropies.
+            lam = spectra(sig) / np.where(from_sigma[..., None], traces, 1.0)[..., None]
+            ents[..., index] = np.where(from_sigma[..., None], eigenvalue_entropy(lam),
+                                        ents[..., index])
             start = stop
         # Undefined branches cannot decide fragility, because every basis of a
         # normalized state has a defined branch.

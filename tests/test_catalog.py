@@ -29,15 +29,6 @@ def test_make_is_case_insensitive_and_rejects_unknown():
         make("M5")
 
 
-def test_make_builds_each_state_once():
-    for tag in tags():
-        s = make(tag)
-        assert make(tag) is s and not s.amps.flags.writeable
-        assert make(f" {tag.lower()}\t") is s and make(tag.title()) is s
-    with pytest.raises(DomainError):
-        make(" ")
-
-
 def test_cat_state_amplitudes_and_bounds():
     c3 = cat_state(3)
     assert c3.dims == (2, 2, 2)

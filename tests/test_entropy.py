@@ -65,38 +65,53 @@ def test_eigenvalue_entropy_edge_cases():
         eigenvalue_entropy([1.1, -0.1])
 
 
-def _qubit_edge_cases():
-    """Unit-trace 2x2 density matrices at the edges of the closed form."""
+def _qubit_cases_with_exact_spectra():
+    """Unit-trace 2x2 density matrices whose spectra are known exactly, and those spectra."""
     rng = np.random.default_rng(5)
-    cases = []
-    for _ in range(4):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v /= np.linalg.norm(v)
-        cases.append(np.outer(v, v.conj()))
-    cases += [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2]
-    cases += [np.diag([p, 1.0 - p]) for p in (1e-16, 1e-8, 0.3, 0.5)]
-    # Equal diagonals with a coherence of every size: a pure |+>-type state at |b| = 1/2.
-    cases += [np.array([[0.5, b], [np.conj(b), 0.5]])
-              for b in (0.5, -0.5, 0.5j, 0.25, 0.5 * np.exp(1j), 1e-9j)]
-    cases += [np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, 0.3]]),
-              np.array([[0.9, 0.3j], [-0.3j, 0.1]])]
-    return np.array(cases, dtype=complex)
+    # Pure states v v^dagger: spectrum (0, trace), whatever the phases of the coherence.
+    v = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    pure = v[:, :, None] * v[:, None, :].conj()
+    cases = [(pure, np.stack([np.zeros(500), np.trace(pure, axis1=1, axis2=2).real], axis=-1))]
+    # Diagonal matrices: spectrum the sorted diagonal.
+    x = np.concatenate([rng.random(500), [0.0, 1.0, 1e-16, 1e-8, 0.3, 0.5]])
+    cases.append((np.stack([np.diag([p, 1.0 - p]) for p in x]),
+                  np.sort(np.stack([x, 1.0 - x], axis=-1), axis=-1)))
+    # Equal diagonals with a purely off-diagonal coherence b, real, imaginary or
+    # complex: spectrum 1/2 -+ |b|, and a pure |+>-type state at |b| = 1/2.
+    b = np.array([0.5, -0.5, 0.5j, 0.25, 0.5 * np.exp(1j), 1e-9j, 0.0])
+    cases.append((np.array([[[0.5, c], [np.conj(c), 0.5]] for c in b]),
+                  np.stack([0.5 - np.abs(b), 0.5 + np.abs(b)], axis=-1)))
+    return np.concatenate([m for m, _ in cases]), np.concatenate([lam for _, lam in cases])
+
+
+# Traces from 1 down to the smallest Born probability a report reads.
+QUBIT_TRACES = (1.0, 0.37, 1e-3, 1e-9, PROB_FLOOR)
+
+
+def test_qubit_spectra_in_closed_form_match_exact_spectra():
+    unit, exact = _qubit_cases_with_exact_spectra()
+    for trace in QUBIT_TRACES:
+        lam = spectra(trace * unit)
+        assert lam.shape == exact.shape and np.all(lam >= 0.0)
+        # A few ulps: the exact spectra are those of the matrices as stored.
+        assert np.max(np.abs(lam / trace - exact)) <= 1e-15
+        assert np.max(np.abs(eigenvalue_entropy(lam / trace) - eigenvalue_entropy(exact))) <= 1e-13
 
 
 def test_qubit_spectra_in_closed_form_match_eigvalsh():
     rng = np.random.default_rng(6)
-    stacks = [_qubit_edge_cases()]
-    for rank in (1, 2):
-        a = rng.standard_normal((500, 2, rank)) + 1j * rng.standard_normal((500, 2, rank))
-        rho = a @ a.conj().swapaxes(-1, -2)
-        stacks.append(rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None])
-    unit = np.concatenate(stacks)
-    # Traces from 1 down to the smallest Born probability a report reads.
-    for trace in (1.0, 0.37, 1e-3, 1e-9, PROB_FLOOR):
+    a = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
+    mixed = a @ a.conj().swapaxes(-1, -2)
+    unit = np.concatenate([_qubit_cases_with_exact_spectra()[0],
+                           mixed / np.trace(mixed, axis1=-2, axis2=-1)[:, None, None].real])
+    for trace in QUBIT_TRACES:
         rho = trace * unit
         lam, expected = spectra(rho), np.linalg.eigvalsh(rho)
         assert lam.shape == expected.shape and np.all(lam >= 0.0)
-        assert np.max(np.abs(lam / trace - expected / trace)) <= 1e-15
+        # eigvalsh itself is off the exact spectrum by up to about 1e-15, so the bound
+        # covers its error and the closed form's.
+        assert np.max(np.abs(lam / trace - expected / trace)) <= 4e-15
         assert np.max(np.abs(eigenvalue_entropy(lam / trace)
                              - eigenvalue_entropy(expected / trace))) <= 1e-13
 

@@ -25,6 +25,8 @@ from quartet.core import (
 from quartet.entropy import eigenvalue_entropy, stacked_pair_entropies
 from quartet.measure import (
     FRAGILE_TOL,
+    PROB_FLOOR,
+    SIGMA_PROB,
     MeasurementBasis,
     _branches,
     _party_bases,
@@ -104,6 +106,17 @@ def assert_same_report(actual, expected, path="report"):
         assert type(actual) is type(expected) and actual == expected, path
 
 
+def _near_floor_product(dims, prob=1e-8):
+    """A product state in which outcome 0 of each party's first random basis at seed 0
+    has Born probability ``prob``: a superposition branch that the state's pair
+    reductions give only to about 1e-16 / prob."""
+    amps = np.ones(1, dtype=complex)
+    for p, d in enumerate(dims):
+        b = random_basis(p, d, np.random.default_rng([0, p])).vectors
+        amps = np.kron(amps, np.sqrt(prob) * b[0] + np.sqrt(1.0 - prob) * b[1])
+    return PureState(dims, amps)
+
+
 ORACLE_STATES = {
     **{tag: (lambda t=tag: catalog.make(t)) for tag in ("M4", "C4", "PSI_EXAMPLE", "AME44")},
     **{f"random{dims}": (lambda d=dims: random_state(d, np.random.default_rng([80, *d])))
@@ -112,6 +125,8 @@ ORACLE_STATES = {
     # Computational outcome 1 of every party has probability 1e-20, below PROB_FLOOR but not 0.
     "|0000>+1e-10|1111>": lambda: from_terms((2, 2, 2, 2), {(0, 0, 0, 0): np.sqrt(1 - 1e-20),
                                                            (1, 1, 1, 1): 1e-10}),
+    **{f"product{dims}, a random branch at {prob:g}": (lambda d=dims, q=prob: _near_floor_product(d, q))
+       for dims in ((2, 2, 2, 2), (4, 4, 4, 4)) for prob in (1e-8, 1e-3)},
 }
 
 
@@ -249,6 +264,33 @@ def test_a_report_builds_no_residual_state(monkeypatch):
     for dims in ((2, 2, 2, 2), (2, 3, 4, 2)):
         robustness_report(random_state(dims, np.random.default_rng(86)), trials=3)
     robustness_report(catalog.make("C4"), trials=3)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (4, 4, 4, 4)], ids=["2222", "4444"])
+def test_only_branches_below_sigma_prob_are_read_from_their_vectors(monkeypatch, dims):
+    # Every defined branch below SIGMA_PROB, and no other, reaches stacked_pair_entropies,
+    # in one call per pass; _branches is never called.
+    s = _near_floor_product(dims)
+    read = []
+
+    def recording(amps, rest):
+        read.append(amps)
+        return stacked_pair_entropies(amps, rest)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_branches called")
+
+    monkeypatch.setattr(measure_mod, "stacked_pair_entropies", recording)
+    monkeypatch.setattr(measure_mod, "_branches", forbidden)
+    report = robustness_report(s, trials=1, seed=0)
+    monkeypatch.undo()
+    probs = [o.probability for p in range(4)
+             for basis in _party_bases((p,), dims[p], 1, 0)[0]
+             for o in measure(s, MeasurementBasis(p, basis))]
+    assert len(read) == 1
+    assert read[0].shape[0] == sum(PROB_FLOOR <= q < SIGMA_PROB for q in probs) >= 4
+    # A product state leaves product residuals: every basis is fragile, trial 0 included.
+    assert all(entry["random"]["fragile_trials"] == [0] for entry in report["per_party"].values())
 
 
 # M4's residual entropies are all equal, and a mean of equal values can round one
