@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ascent import multistart
-from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, check_normalized, pair_cuts, scatter_cuts
+from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, check_normalized, cut_indices
 
 CUTS = ("AB_CD", "AC_BD", "AD_BC")
 # Cut labels and row parties, by number of parties.
@@ -36,21 +36,27 @@ def _cuts(dims) -> tuple:
 
 
 @functools.cache
-def _identity(d: int) -> np.ndarray:
-    eye = np.eye(d)
+def _kernel(dims: tuple) -> tuple:
+    """Gather and scatter indices of the cuts of ``dims`` (``core.cut_indices``) and
+    the read-only identity of one cut's reduction."""
+    gather, scatter = cut_indices(dims, _cuts(dims)[1])
+    eye = np.eye(gather.shape[1])
     eye.flags.writeable = False
-    return eye
+    return gather, scatter, eye
 
 
 def _cut_deltas(amps, dims) -> tuple:
-    """Cut matrices M, deviations d * M M^dagger - I, and row parties of every cut."""
-    rows = _cuts(dims)[1]
-    m, delta = pair_cuts(amps, dims, rows)
-    d = delta.shape[-1]
-    # pair_cuts returns a fresh reduction, so it becomes the deviation in place.
-    delta *= d
-    delta -= _identity(d)
-    return m, delta, rows
+    """Cut matrices M, deviations d * M M^dagger - I, and the scatter index of every cut.
+
+    This is ``core.pair_cuts`` with its gather and identity looked up once per dims,
+    so ``amps`` must be a flat array and ``dims`` a tuple.
+    """
+    gather, scatter, eye = _kernel(dims)
+    m = amps[gather]
+    delta = m @ m.conj().swapaxes(-1, -2)
+    delta *= eye.shape[0]
+    delta -= eye
+    return m, delta, scatter
 
 
 def _per_cut(amps, dims) -> dict:
@@ -73,18 +79,19 @@ def ame_deviation(s: PureState) -> AmeDeviation:
 
 
 def deviation_value_raw(amps, dims) -> float:
-    """Total deviation of raw amplitudes, summed over the cuts for these dims."""
+    """Total deviation of raw amplitudes (a flat array; ``dims`` a tuple), summed over the cuts."""
     _, delta, _ = _cut_deltas(amps, dims)
     return float(np.vdot(delta, delta).real)
 
 
 def deviation_value_and_gradient_raw(amps, dims):
-    """Total deviation and its Euclidean gradient (Re <ds|g> is the derivative).
+    """Total deviation and its Euclidean gradient (Re <ds|g> is the derivative) of raw
+    amplitudes, a flat array; ``dims`` is a tuple.
 
     Per cut the gradient is 4 d (d M M^dagger - I) M, scattered back to amplitudes.
     """
-    m, delta, rows = _cut_deltas(amps, dims)
-    g = scatter_cuts(delta @ m, dims, rows)
+    m, delta, scatter = _cut_deltas(amps, dims)
+    g = (delta @ m).reshape(-1)[scatter].sum(0)
     g *= 4.0 * delta.shape[-1]
     return float(np.vdot(delta, delta).real), g
 

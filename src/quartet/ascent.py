@@ -91,46 +91,49 @@ class AscentOutcome:
     memory_resets: int
 
 
-def _real(z):
-    """Complex amplitudes as interleaved real and imaginary parts, so Re<a, b> = a @ b."""
-    return np.ascontiguousarray(z, dtype=complex).reshape(-1).view(np.float64)
-
-
 def _tangent(x, g):
-    return g - (x @ g) * x
+    return g - x.dot(g) * x
 
 
 class _CurvaturePairs:
-    """The last ``MEMORY`` curvature pairs (s_i, y_i), oldest first, as the trailing rows of
-    ``steps`` and ``falls``; a new pair shifts each array up one row and writes itself last.
+    """The last ``MEMORY`` curvature pairs (s_i, y_i), oldest first, as the window of rows
+    ``[end - count, end)`` of ``steps`` and ``falls``, which hold ``2 * MEMORY`` rows.
 
-    The trailing block of ``r_inv`` holds the inverse of R, the upper triangle
-    of S Y^T (R_ij = s_i.y_j for i <= j), whose diagonal holds the curvatures.
-    A new pair adds a column to R, so it adds the column -R^-1 (S y) / s.y above
-    1 / s.y to the inverse; dropping the oldest pair drops the inverse's first
-    row and column.  Setting ``count`` to 0 clears the memory.
+    A new pair writes itself at row ``end``, so a push moves no stored row until
+    the buffer is full; then the window's newest ``MEMORY - 1`` pairs slide to the
+    front, once every ``MEMORY + 1`` pushes.  The window's block of ``r_inv``
+    holds the inverse of R, the upper triangle of S Y^T (R_ij = s_i.y_j for
+    i <= j), whose diagonal holds the curvatures.  A new pair adds a column to R,
+    so it adds the column -R^-1 (S y) / s.y above 1 / s.y to the inverse;
+    dropping the oldest pair drops the inverse's first row and column, which the
+    window leaves behind.  Nothing is written below the diagonal, so the
+    window's lower triangle stays zero.  Setting ``count`` to 0 clears the memory.
     """
 
     def __init__(self, n):
-        self.count = 0
-        self.steps = np.zeros((MEMORY, n))
-        self.falls = np.zeros((MEMORY, n))
-        self.r_inv = np.zeros((MEMORY, MEMORY))
+        self.count = self.end = 0
+        self.steps = np.zeros((2 * MEMORY, n))
+        self.falls = np.zeros((2 * MEMORY, n))
+        self.r_inv = np.zeros((2 * MEMORY, 2 * MEMORY))
         self.gamma = 0.0
+
+    def window(self) -> slice:
+        return slice(self.end - self.count, self.end)
 
     def push(self, step, fall, curvature):
         kept = min(self.count, MEMORY - 1)
-        for rows in (self.steps, self.falls):
-            rows[:-1] = rows[1:]
-        r_inv = self.r_inv
-        r_inv[:-1, :-1] = r_inv[1:, 1:]
-        old = slice(-kept - 1, -1)
-        r_inv[old, -1] = (r_inv[old, old] @ (self.steps[old] @ fall)) * (-1.0 / curvature)
-        r_inv[-1, -1] = 1.0 / curvature
-        self.steps[-1], self.falls[-1] = step, fall
+        steps, falls, r_inv, end = self.steps, self.falls, self.r_inv, self.end
+        old = slice(end - kept, end)
+        if end == 2 * MEMORY:
+            steps[:kept], falls[:kept] = steps[old], falls[old]
+            r_inv[:kept, :kept] = r_inv[old, old]
+            end, old = kept, slice(0, kept)
+        r_inv[old, end] = r_inv[old, old].dot(steps[old].dot(fall)) * (-1.0 / curvature)
+        r_inv[end, end] = 1.0 / curvature
+        steps[end], falls[end] = step, fall
         # The initial scaling s.y / y.y of the newest pair.
-        self.gamma = curvature / (fall @ fall)
-        self.count = kept + 1
+        self.gamma = curvature / fall.dot(fall)
+        self.count, self.end = kept + 1, end + 1
 
 
 def _lbfgs_direction(grad, pairs: _CurvaturePairs):
@@ -144,12 +147,12 @@ def _lbfgs_direction(grad, pairs: _CurvaturePairs):
     date by each ``push``, both triangular recurrences are small matrix products,
     so the call count does not depend on the number of pairs.
     """
-    m = pairs.count
-    steps, falls, r_inv = pairs.steps[-m:], pairs.falls[-m:], pairs.r_inv[-m:, -m:]
-    alpha = r_inv @ (steps @ grad)
-    q = grad - alpha @ falls
-    coeffs = (alpha / r_inv.diagonal() - pairs.gamma * (falls @ q)) @ r_inv
-    return pairs.gamma * q + coeffs @ steps
+    window = pairs.window()
+    steps, falls, r_inv = pairs.steps[window], pairs.falls[window], pairs.r_inv[window, window]
+    alpha = r_inv.dot(steps.dot(grad))
+    q = grad - alpha.dot(falls)
+    coeffs = (alpha / r_inv.diagonal() - pairs.gamma * falls.dot(q)).dot(r_inv)
+    return pairs.gamma * q + coeffs.dot(steps)
 
 
 def ascend(value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOutcome:
@@ -160,8 +163,13 @@ def ascend(value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOu
     tangent space of the point the step reached; a pair with Re<s, y> <= 0 is
     skipped, and a direction that does not ascend clears the memory.
     ``_lbfgs_direction`` makes the same numpy calls for one pair as for
-    ``MEMORY = 16``, so a long memory costs no extra dispatch per iteration and
-    saves iterations: criterion 5 takes 1,158 against 1,667 at a memory of 5.
+    ``MEMORY = 16``, and so does ``_CurvaturePairs.push``, so a long memory
+    costs no extra dispatch per iteration and saves iterations: criterion 5
+    takes 1,158 against 1,667 at a memory of 5.  Directions, steps and
+    candidates are built and projected in place, vector products are
+    ``ndarray.dot`` (half the dispatch of ``@`` at these sizes, same bits), and
+    the slope of the plain tangent direction is the squared gradient norm
+    already at hand: 37 numpy calls per iteration besides the objective's.
     The first trial step is min(1, 1/|g|) on an empty memory and 1 otherwise.  Each trial
     makes one ``value_grad_fn`` call, and its value and gradient decide it: it
     is accepted when its value gains at least ARMIJO * step * slope.  A trial
@@ -170,7 +178,8 @@ def ascend(value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOu
     it is accepted while the slope is at least -WOLFE_SLOPE times the initial
     slope (approximate Wolfe test, Hager & Zhang 2005).  Accepted values thus
     never fall by more than that tie.  Vectors are kept as real views of the
-    amplitudes, where the real inner product is Re<a, b>.
+    amplitudes, where the real inner product is Re<a, b>; ``value_grad_fn``
+    returns its gradient as a flat complex array, read through such a view.
 
     ``stop_reason`` names the exit: ``converged`` (tangent gradient norm below
     ``grad_tol``, at whichever exit), ``line_search_failed`` (no step above
@@ -181,10 +190,11 @@ def ascend(value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOu
     directions that did not ascend.
     """
     x = np.asarray(amps0, dtype=complex).reshape(-1)
-    x = _real(x / np.linalg.norm(x))
+    x = (x / np.linalg.norm(x)).view(float)
     value, grad = value_grad_fn(x.view(complex))
-    tangent = _tangent(x, _real(grad))
-    gnorm = math.sqrt(tangent @ tangent)
+    tangent = _tangent(x, grad.view(float))
+    gnorm_sq = float(tangent.dot(tangent))
+    gnorm = math.sqrt(gnorm_sq)
     evaluations, skipped_pairs, memory_resets = 1, 0, 0
     pairs = _CurvaturePairs(x.size)
 
@@ -197,40 +207,45 @@ def ascend(value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOu
     for iteration in range(max_iters):
         if gnorm < grad_tol:
             return stopped(iteration, "converged")
-        direction = tangent
         if pairs.count:
-            direction = _tangent(x, _lbfgs_direction(tangent, pairs))
-            if not tangent @ direction > 0:
+            direction = _lbfgs_direction(tangent, pairs)
+            direction -= x.dot(direction) * x
+            slope = float(tangent.dot(direction))
+            if not slope > 0:
                 pairs.count = 0
                 memory_resets += 1
-                direction = tangent
-        slope = tangent @ direction
+        if not pairs.count:
+            direction, slope = tangent, gnorm_sq
         t = INITIAL_STEP if pairs.count else min(INITIAL_STEP, 1.0 / gnorm)
         tie = TIE_ULPS * math.ulp(value)
         while t >= MIN_STEP:
-            candidate = x + t * direction
-            scale = math.sqrt(candidate @ candidate)
+            candidate = t * direction
+            candidate += x
+            scale = math.sqrt(candidate.dot(candidate))
             candidate /= scale
             cand_value, cand_grad = value_grad_fn(candidate.view(complex))
             evaluations += 1
-            new_tangent = _tangent(candidate, _real(cand_grad))
+            new_tangent = _tangent(candidate, cand_grad.view(float))
             # Slope along the retraction at t: Re<P g, d> / |x + t d|.
             if cand_value >= value + ARMIJO * t * slope or (
                     abs(cand_value - value) <= tie
-                    and new_tangent @ direction / scale >= -WOLFE_SLOPE * slope):
+                    and new_tangent.dot(direction) / scale >= -WOLFE_SLOPE * slope):
                 break
             t *= BACKTRACK
         else:
             return stopped(iteration, "line_search_failed")
-        step = _tangent(candidate, t * direction)
-        fall = _tangent(candidate, tangent) - new_tangent
-        curvature = step @ fall
+        step = t * direction
+        step -= candidate.dot(step) * candidate
+        fall = _tangent(candidate, tangent)
+        fall -= new_tangent
+        curvature = float(step.dot(fall))
         if curvature > 0:
             pairs.push(step, fall, curvature)
         else:
             skipped_pairs += 1
         x, value, tangent = candidate, cand_value, new_tangent
-        gnorm = math.sqrt(tangent @ tangent)
+        gnorm_sq = float(tangent.dot(tangent))
+        gnorm = math.sqrt(gnorm_sq)
     return stopped(max_iters, "max_iters")
 
 
@@ -267,13 +282,15 @@ def multistart(value_grad_fn, dims, *, restarts: int, seed: int, max_iters: int,
     """Run ``ascend`` from an optional explicit ``start`` and ``restarts`` Haar starts.
 
     ``value_grad_fn(amps, dims)`` returns a raw objective and its Euclidean
-    gradient, negated for the ascent if ``minimize``.  Every local dimension
+    gradient as a fresh flat complex array, both negated for the ascent if
+    ``minimize``, the gradient in place.  Every local dimension
     must be an integer of at least 2, ``restarts`` may be 0 only with a
     ``start``, ``grad_tol`` must be positive and finite, and a state may have
     at most ``MAX_AMPLITUDES`` amplitudes; all are checked before any start is
     drawn.  Returns one ``RestartRecord`` and one final amplitude vector per start,
     and the index of the best start (the earliest wins ties).
     """
+    dims = tuple(dims)
     check_count("max_iters", max_iters, 1)
     if not 0 < grad_tol < math.inf:
         raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
@@ -283,21 +300,19 @@ def multistart(value_grad_fn, dims, *, restarts: int, seed: int, max_iters: int,
         raise DomainError(f"states of more than {MAX_AMPLITUDES} amplitudes are not supported")
     check_count("restarts", restarts, 0 if start is not None else 1)
     check_count("seed", seed)
-    if start is not None and tuple(start.dims) != tuple(dims):
-        raise ShapeError(f"start state has dims {start.dims}, expected {tuple(dims)}")
-
-    def signed(x):
-        return -x if minimize else x
+    if start is not None and tuple(start.dims) != dims:
+        raise ShapeError(f"start state has dims {start.dims}, expected {dims}")
 
     def value_grad(amps):
         v, g = value_grad_fn(amps, dims)
-        return signed(v), signed(g)
+        return (-v, np.negative(g, out=g)) if minimize else (v, g)
 
     outcomes = [ascend(value_grad, amps0, grad_tol=grad_tol, max_iters=max_iters)
                 for amps0 in haar_starts(dims, restarts, seed, start)]
     best = max(range(len(outcomes)), key=lambda i: (outcomes[i].value, -i))
-    records = [RestartRecord(r, signed(o.value), o.grad_norm, o.iterations, o.converged,
-                             o.stop_reason, o.evaluations, o.skipped_pairs, o.memory_resets)
+    records = [RestartRecord(r, -o.value if minimize else o.value, o.grad_norm, o.iterations,
+                             o.converged, o.stop_reason, o.evaluations, o.skipped_pairs,
+                             o.memory_resets)
                for r, o in enumerate(outcomes)]
     return records, [o.amps for o in outcomes], best
 

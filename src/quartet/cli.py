@@ -14,7 +14,8 @@ The parser that reads ``argv`` is built once per process.
 
 Exit codes: 0 on success, 1 on domain errors (malformed state files, unknown
 catalog tags, non-convergence under ``--strict``, a failed ``verify``
-criterion), 2 on usage errors.
+criterion) and when the reader of standard output closes it early, 2 on usage
+errors.
 """
 
 import argparse
@@ -298,7 +299,15 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Later writes, such as the flush at exit,
+        # go to the null device so that they cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -101,7 +101,7 @@ def reduced_matrix(amps: np.ndarray, dims, keep) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _cut_indices(dims: tuple, rows: tuple) -> tuple:
+def cut_indices(dims: tuple, rows: tuple) -> tuple:
     """Gather index (C, D, K) into flat amplitudes and its scatter inverse (C, D*K)."""
     flat = np.arange(math.prod(dims)).reshape(dims)
     mats = [np.transpose(flat, keep + tuple(a for a in range(len(dims)) if a not in keep))
@@ -121,7 +121,7 @@ def pair_cuts(amps: np.ndarray, dims: tuple, rows: tuple) -> tuple:
     each in row-major order; every cut must give the same (D, K).  Each state
     of a stack gets bitwise the matrices a call on that state alone gives.
     """
-    gather, _ = _cut_indices(tuple(dims), rows)
+    gather, _ = cut_indices(tuple(dims), rows)
     amps = np.asarray(amps, dtype=complex)
     # A lone state takes numpy's fast path for one index array; "..." costs more.
     m = amps[gather] if amps.ndim == 1 else amps[..., gather]
@@ -130,7 +130,7 @@ def pair_cuts(amps: np.ndarray, dims: tuple, rows: tuple) -> tuple:
 
 def scatter_cuts(g: np.ndarray, dims: tuple, rows: tuple) -> np.ndarray:
     """Sum a stacked per-cut array shaped like ``pair_cuts``' m back onto flat amplitudes."""
-    _, scatter = _cut_indices(tuple(dims), rows)
+    _, scatter = cut_indices(tuple(dims), rows)
     return g.reshape(-1)[scatter].sum(0)
 
 

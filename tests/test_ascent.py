@@ -200,8 +200,8 @@ def _quadratic_pairs(count, n=32):
     return [(s, a @ s) for s in rng.standard_normal((count, n))], rng.standard_normal(n)
 
 
-def _remembered(pairs):
-    memory = _CurvaturePairs(len(pairs[0][0]))
+def _remembered(pairs, n=32):
+    memory = _CurvaturePairs(n)
     for s, y in pairs:
         memory.push(s, y, s @ y)
     return memory
@@ -226,16 +226,35 @@ def test_direction_maps_the_newest_fall_to_the_newest_step(pushes):
     assert _relative_error(_lbfgs_direction(y, _remembered(pairs)), s) <= 1e-12
 
 
+def _assert_window_holds(memory, kept):
+    """The memory's window holds the pairs ``kept``, oldest first, with their gamma and R^-1."""
+    window = memory.window()
+    steps, falls = memory.steps[window], memory.falls[window]
+    assert memory.count == len(kept)
+    assert np.array_equal(steps, [s for s, _ in kept])
+    assert np.array_equal(falls, [y for _, y in kept])
+    assert memory.gamma == kept[-1][0] @ kept[-1][1] / (kept[-1][1] @ kept[-1][1])
+    r = np.triu(steps @ falls.T)
+    assert _relative_error(memory.r_inv[window, window], np.linalg.inv(r)) <= 1e-12
+
+
 def test_memory_keeps_the_last_pairs_oldest_first():
     pairs, _ = _quadratic_pairs(MEMORY + 3)
-    memory = _remembered(pairs)
-    kept = pairs[3:]
-    assert memory.count == MEMORY
-    assert np.array_equal(memory.steps, [s for s, _ in kept])
-    assert np.array_equal(memory.falls, [y for _, y in kept])
-    assert memory.gamma == kept[-1][0] @ kept[-1][1] / (kept[-1][1] @ kept[-1][1])
-    r = np.triu(memory.steps @ memory.falls.T)
-    assert _relative_error(memory.r_inv, np.linalg.inv(r)) <= 1e-12
+    _assert_window_holds(_remembered(pairs), pairs[3:])
+
+
+def test_memory_window_slides_to_the_front_of_its_buffer():
+    # The buffer holds 2 MEMORY rows.  Push 2 MEMORY + 1 finds it full and slides
+    # the newest MEMORY - 1 pairs to the front; push 3 MEMORY + 2 slides again.
+    pairs, _ = _quadratic_pairs(3 * MEMORY + 2)
+    memory = _CurvaturePairs(len(pairs[0][0]))
+    slides = 0
+    for k, (s, y) in enumerate(pairs, 1):
+        end = memory.end
+        memory.push(s, y, s @ y)
+        slides += memory.end < end
+        _assert_window_holds(memory, pairs[max(0, k - MEMORY):k])
+    assert slides == 2
 
 
 def test_a_cleared_memory_starts_over():
@@ -268,13 +287,23 @@ class _Counted(np.ndarray):
         _Counted.calls += 1
         return super().__array_function__(func, types, args, kwargs)
 
+    def dot(self, other):
+        # ndarray.dot is a method: neither hook above sees it.
+        _Counted.calls += 1
+        result = self.view(np.ndarray).dot(np.asarray(other).view(np.ndarray))
+        return result.view(_Counted) if isinstance(result, np.ndarray) else result
 
-def _numpy_calls(direction, pushes):
-    pairs, grad = _quadratic_pairs(pushes)
-    memory = _remembered(pairs)
+
+def _counted(memory):
     for name in ("steps", "falls", "r_inv"):
         setattr(memory, name, getattr(memory, name).view(_Counted))
     _Counted.calls = 0
+    return memory
+
+
+def _numpy_calls(direction, pushes):
+    pairs, grad = _quadratic_pairs(pushes)
+    memory = _counted(_remembered(pairs))
     direction(grad.view(_Counted), memory)
     return _Counted.calls
 
@@ -283,9 +312,27 @@ def test_direction_makes_as_many_numpy_calls_for_one_pair_as_for_a_full_memory()
     assert _numpy_calls(_lbfgs_direction, 1) == _numpy_calls(_lbfgs_direction, MEMORY)
 
     def two_loop(grad, memory):
-        m = memory.count
-        return _two_loop(grad, list(zip(memory.steps[-m:], memory.falls[-m:],
-                                        memory.r_inv[-m:, -m:].diagonal())))
+        window = memory.window()
+        return _two_loop(grad, list(zip(memory.steps[window], memory.falls[window],
+                                        memory.r_inv[window, window].diagonal())))
 
     # The counter sees calls made per pair: the two-loop makes more with more pairs.
     assert _numpy_calls(two_loop, MEMORY) > _numpy_calls(two_loop, 1)
+
+
+def _push_calls(pushes):
+    """numpy calls of the push that follows ``pushes`` earlier pushes, and whether it slid."""
+    pairs, _ = _quadratic_pairs(pushes + 1)
+    memory = _counted(_remembered(pairs[:-1]))
+    s, y = pairs[-1]
+    end = memory.end
+    memory.push(s.view(_Counted), y.view(_Counted), s @ y)
+    return _Counted.calls, memory.end < end
+
+
+def test_push_makes_as_many_numpy_calls_for_one_pair_as_for_a_full_memory():
+    calls = {pushes: _push_calls(pushes) for pushes in (0, 1, MEMORY, 2 * MEMORY)}
+    # The push after 2 MEMORY pushes slides the window to the front of the buffer.  Its
+    # three block copies are item assignments, which the counter does not see.
+    assert [slid for _, slid in calls.values()] == [False, False, False, True]
+    assert {count for count, _ in calls.values()} == {4}

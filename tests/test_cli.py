@@ -395,6 +395,24 @@ def test_robustness_payload(tmp_path, capsys):
     assert payload["overall"]["max"] == pytest.approx(RESIDUAL_ENTROPY, abs=1e-8)
 
 
+def _floats(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for item in obj for x in _floats(item)]
+    return [obj] if isinstance(obj, float) else []
+
+
+def test_robustness_json_has_no_negative_zero(tmp_path, capsys):
+    # C4's computational residuals are product states: their entropies are exact zeros.
+    path = write_state(tmp_path, "C4")
+    code, payload, _ = run_cli(capsys, ["robustness", path, "--trials", "1"])
+    assert code == 0
+    zeros = [v for v in _floats(payload) if v == 0.0]
+    assert len(zeros) >= 24
+    assert all(math.copysign(1.0, v) == 1.0 for v in zeros)
+
+
 CRITERIA = ((1, "one"), (2, "two"))
 
 
@@ -432,17 +450,32 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
     assert "FAIL" in err and "error:" not in err
 
 
-def test_module_entry_point_runs_as_subprocess():
+def _child_env():
     # The child imports the same quartet as this process, installed or not.
     src = str(Path(quartet.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs_as_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "quartet.cli", "catalog", "M4"],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["dims"] == [2, 2, 2, 2]
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_run_with_exit_one():
+    # The read end is closed before the child writes, so its output has no reader.
+    proc = subprocess.Popen([sys.executable, "-m", "quartet.cli", "catalog", "M4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

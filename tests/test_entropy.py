@@ -65,6 +65,15 @@ def test_eigenvalue_entropy_edge_cases():
         eigenvalue_entropy([1.1, -0.1])
 
 
+def test_a_pure_spectrum_has_entropy_plus_zero():
+    assert math.copysign(1.0, eigenvalue_entropy([1.0, 0.0])) == 1.0
+    assert math.copysign(1.0, eigenvalue_entropy([[0.0, 1.0], [0.5, 0.5]])[0]) == 1.0
+    report = profile(PureState((2, 2, 2, 2), np.eye(16)[0]))
+    values = list(report.entries.values()) + [report.average]
+    assert values == [0.0] * 7
+    assert all(math.copysign(1.0, v) == 1.0 for v in values)
+
+
 def _qubit_cases_with_exact_spectra():
     """Unit-trace 2x2 density matrices whose spectra are known exactly, and those spectra."""
     rng = np.random.default_rng(5)

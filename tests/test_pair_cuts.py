@@ -73,6 +73,24 @@ def test_deviation_matches_reference(dims):
         assert_close(g, ref_g)
 
 
+@pytest.mark.parametrize("dims", ALL_DIMS[:3], ids=str)
+def test_deviation_is_bitwise_the_public_cut_kernels(dims):
+    # The deviation caches its gather, scatter and identity per dims; it must stay
+    # bitwise the composition of pair_cuts and scatter_cuts.
+    rows = ((0,),) if len(dims) == 2 else FOUR_PARTY_CUT_ROWS
+    for k in range(4):
+        amps = sample_amps(dims, k)
+        m, rho = pair_cuts(amps, dims, rows)
+        d = rho.shape[-1]
+        delta = d * rho - np.eye(d)
+        value = float(np.vdot(delta, delta).real)
+        g = 4.0 * d * scatter_cuts(delta @ m, dims, rows)
+        found_value, found_g = ame.deviation_value_and_gradient_raw(amps, dims)
+        assert repr(found_value) == repr(value)
+        assert repr(ame.deviation_value_raw(amps, dims)) == repr(value)
+        assert found_g.tobytes() == g.tobytes()
+
+
 @pytest.mark.parametrize("dims", FOUR_PARTY_DIMS, ids=str)
 def test_entropy_objective_matches_reference(dims):
     for k in range(4):
