@@ -24,7 +24,7 @@ from .core import (
     state_to_json,
     unitary_from_first_column,
 )
-from .entropy import EntropyProfile, fingerprint_match, fingerprint_residual, pair_entropies, profile
+from .entropy import EntropyProfile, pair_entropies, profile
 from .measure import (
     MeasurementBasis,
     MeasurementOutcome,

@@ -70,8 +70,6 @@ def _dims_arg(text: str) -> tuple:
         dims = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"dims must be comma-separated integers, got {text!r}")
-    if not dims:
-        raise argparse.ArgumentTypeError("dims must not be empty")
     return dims
 
 

@@ -1,4 +1,5 @@
-"""Pair entanglement entropies and the sorted-profile fingerprint built from them."""
+"""Pair entanglement entropies: spectra of pair reductions, their von Neumann
+entropies, batched over stacks of states, and the six-entry four-party profile."""
 
 import functools
 import itertools
@@ -11,7 +12,6 @@ from .core import UNIT_NORM_TOL, DomainError, PARTY_LETTERS, PureState, check_no
 
 PAIRS = ("AB", "AC", "AD", "BC", "BD", "CD")
 EIG_FLOOR = 1e-15
-FINGERPRINT_TOL = 1e-7
 
 
 def pair_parties(pair: str) -> tuple:
@@ -135,27 +135,3 @@ def profile(s: PureState) -> EntropyProfile:
     entries = pair_entropies(s)
     return EntropyProfile(entries, math.fsum(entries.values()) / 6.0)
 
-
-def _sorted_values(x) -> tuple:
-    if isinstance(x, EntropyProfile):
-        return x.sorted_entries()
-    if isinstance(x, dict):
-        return tuple(sorted(x.values()))
-    return tuple(sorted(float(v) for v in x))
-
-
-def fingerprint_residual(a, b) -> float:
-    """Largest entrywise gap between two sorted entropy fingerprints."""
-    va, vb = _sorted_values(a), _sorted_values(b)
-    if len(va) != len(vb):
-        raise DomainError("fingerprints have different lengths")
-    return float(max(abs(x - y) for x, y in zip(va, vb)))
-
-
-def fingerprint_match(a, b, tol: float = FINGERPRINT_TOL) -> bool:
-    """Sorted entropy values agree entrywise within tol.
-
-    A necessary condition for local-unitary equivalence, not a sufficient one.
-    Accepts EntropyProfile objects, pair->entropy dicts, or plain sequences.
-    """
-    return fingerprint_residual(a, b) <= tol

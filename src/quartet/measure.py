@@ -68,16 +68,22 @@ def plus_minus_basis(party: int) -> MeasurementBasis:
     return MeasurementBasis(party, _PLUS_MINUS)
 
 
-def _gaussian_bases(normals: np.ndarray) -> np.ndarray:
-    """Bases ``(..., d, d)`` from normals ``(..., 2d)``: the first vector has the first d
-    draws as real and the last d as imaginary parts, completed deterministically."""
-    d = normals.shape[-1] // 2
-    return unitary_from_first_column(normals[..., :d] + 1j * normals[..., d:]).swapaxes(-1, -2)
+def _gaussian_bases(normals: np.ndarray, d: int) -> np.ndarray:
+    """Haar-random bases ``(..., d, d)`` from normals ``(..., d(d + 1) - 2)``: the first d
+    draws are the first vector's real parts and the next d its imaginary parts.  A
+    Householder reflection completes it, its other columns rotated by a basis of
+    dimension d - 1 built likewise from the remaining draws (Stewart, SIAM J. Numer.
+    Anal. 17, 403 (1980)), so that every vector, not only the first, is Haar-uniform."""
+    u = unitary_from_first_column(normals[..., :d] + 1j * normals[..., d:2 * d])
+    if d > 2:
+        rest = _gaussian_bases(normals[..., 2 * d:], d - 1)
+        u[..., :, 1:] = u[..., :, 1:] @ rest.swapaxes(-1, -2)
+    return u.swapaxes(-1, -2)
 
 
 def random_basis(party: int, dim: int, rng) -> MeasurementBasis:
-    """First vector Haar-uniform on the local sphere, completed deterministically."""
-    return MeasurementBasis(party, _gaussian_bases(rng.standard_normal(2 * dim)))
+    """A Haar-random basis from one draw of dim(dim + 1) - 2 normals."""
+    return MeasurementBasis(party, _gaussian_bases(rng.standard_normal(dim * (dim + 1) - 2), dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,15 +191,15 @@ def _party_bases(parties: tuple, d: int, trials: int, seed: int) -> np.ndarray:
     qubit, then one random basis per trial.
 
     Trial t of party p reads row t of one ``default_rng([seed, p])`` draw of shape
-    (trials, 2d), which is bitwise the t-th of successive ``random_basis`` calls
-    on that generator; so trial t depends neither on ``trials`` nor on the other
-    parties, and trial 0 is the basis ``quartet measure --basis random`` uses.
+    (trials, d(d + 1) - 2), which is bitwise the t-th of successive ``random_basis``
+    calls on that generator; so trial t depends neither on ``trials`` nor on the
+    other parties, and trial 0 is the basis ``quartet measure --basis random`` uses.
     """
-    normals = np.stack([np.random.default_rng([seed, p]).standard_normal((trials, 2 * d))
-                        for p in parties])
+    draws = (trials, d * (d + 1) - 2)
+    normals = np.stack([np.random.default_rng([seed, p]).standard_normal(draws) for p in parties])
     named = np.array([np.eye(d)] + ([_PLUS_MINUS] if d == 2 else []), dtype=complex)
     bases = np.concatenate([np.broadcast_to(named, (len(parties),) + named.shape),
-                            _gaussian_bases(normals)], axis=1)
+                            _gaussian_bases(normals, d)], axis=1)
     _check_orthonormal(bases)
     return bases
 
@@ -203,22 +209,22 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
 
     For every party this evaluates the computational basis, the |+>/|-> basis,
     and ``trials`` Haar-random bases drawn from one ``default_rng([seed, party])``
-    stream, trial 0 first (see ``_party_bases``).  Random bases contribute
-    min/max/mean statistics per remaining pair; each basis also carries a
-    fragility flag (every residual entropy below 1e-10).
+    stream, trial 0 first (see ``_party_bases``), every vector Haar-uniform whatever
+    the party's dimension.  Random bases contribute min/max/mean statistics per
+    remaining pair; each basis also carries a fragility flag (every residual
+    entropy below 1e-10).
 
-    Most branches build no residual state: outcome b of measuring party p leaves q
-    with sigma_q(b) = (b^dagger x I) rho_pq (b x I), rho_pq the state's own
-    reduction, whose trace is the Born probability, and the residual pair
-    without q has the entropy of sigma_q.  One ``pair_cuts`` call per (d_p, d_q)
-    group gives every rho_pq.  Parties whose residuals have equal dims share a
-    pass: one basis completion, one batched matmul of the outer products
-    conj(b) x b against the rho_pq, and one ``spectra`` call per residual dim,
-    in closed form for a qubit.  A branch whose sigma has trace below
-    ``SIGMA_PROB`` loses too many digits to cancellation; it is read from its
-    own contracted vector instead, all such branches of a pass in one
-    ``stacked_pair_entropies`` call.  A pass holds no more bases than one party at
-    ``MAX_TRIALS``, and ``trials`` must be an integer in 1..``MAX_TRIALS``.
+    Most branches build no residual state: outcome b of measuring party p leaves q with
+    sigma_q(b) = (b^dagger x I) rho_pq (b x I), rho_pq the state's own reduction, whose
+    trace is the Born probability, and the residual pair without q has the entropy of
+    sigma_q.  One ``pair_cuts`` call per (d_p, d_q) group gives every rho_pq.  Parties
+    whose residuals have equal dims share a pass: one basis completion (d - 1
+    reflections), one batched matmul of the outer products conj(b) x b against the
+    rho_pq, and one ``spectra`` call per residual dim, in closed form for a qubit.  A
+    branch whose sigma has trace below ``SIGMA_PROB`` loses too many digits to
+    cancellation; it is read from its own contracted vector instead, all such branches
+    of a pass in one ``stacked_pair_entropies`` call.  A pass holds no more bases than
+    one party at ``MAX_TRIALS``, and ``trials`` must be an integer in 1..``MAX_TRIALS``.
     """
     if s.n_parties != 4:
         raise DomainError(f"robustness_report is defined for four parties, got {s.n_parties}")

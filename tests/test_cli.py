@@ -9,12 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quartet
 from quartet import acceptance, canonical, catalog, cli
 from quartet.acceptance import CriterionResult
-from quartet.core import state_to_json
+from quartet.core import random_state, state_to_json
 
 TARGET_AVERAGE = 1.0 + 0.5 * math.log2(3.0)
 RESIDUAL_ENTROPY = math.log2(3.0) - 2.0 / 3.0
@@ -158,7 +159,9 @@ def test_state_file_past_the_parser_limits(tmp_path, capsys, text):
 
 
 def test_bad_dims_is_usage_error(capsys):
-    assert cli.dispatch(["ame", "--dims", "2,x"]) == 2
+    for dims in ("2,x", "", "2,,2"):
+        assert cli.dispatch(["ame", "--dims", dims]) == 2
+        assert "dims must be comma-separated integers" in capsys.readouterr().err
 
 
 def test_bad_basis_is_usage_error(capsys):
@@ -320,6 +323,25 @@ def test_measure_payload(tmp_path, capsys):
         for value in row["pair_entropies"].values():
             assert value == pytest.approx(RESIDUAL_ENTROPY, abs=1e-8)
     assert payload["manifest"]["seed"] == 5
+
+
+def test_measure_plusminus_leaves_c4_a_ghz_state(tmp_path, capsys):
+    code, payload, _ = run_cli(
+        capsys, ["measure", write_state(tmp_path, "C4"), "--party", "A", "--basis", "plusminus"])
+    assert code == 0 and payload["basis"] == "plusminus"
+    assert [row["probability"] for row in payload["outcomes"]] == pytest.approx([0.5, 0.5], abs=1e-12)
+    # Each residual is a three-qubit GHZ state: every pair reduction has entropy 1.
+    for row in payload["outcomes"]:
+        assert set(row["pair_entropies"]) == {"BC", "BD", "CD"}
+        assert list(row["pair_entropies"].values()) == pytest.approx([1.0] * 3, abs=1e-12)
+
+
+def test_measure_plusminus_rejects_a_qutrit_party(tmp_path, capsys):
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps(state_to_json(random_state((3, 2, 2, 2), np.random.default_rng(0)))))
+    code, payload, err = run_cli(capsys, ["measure", str(path), "--party", "A", "--basis", "plusminus"])
+    assert code == 1 and payload is None
+    assert err.startswith("error: plusminus basis needs a two-level party") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("tag", ["C3", "PHI_PLUS"])

@@ -239,6 +239,11 @@ def test_state_json_rejects_malformed(payload):
         state_from_json(payload)
 
 
+def test_state_json_rejects_amps_that_are_not_a_list():
+    with pytest.raises(DomainError, match='"amps" must be a list'):
+        state_from_json({"dims": [2, 2], "amps": {"0": [1.0, 0.0]}})
+
+
 # Any JSON value a malformed state file could hold, oversized integers included.
 _JSON_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                          st.floats(allow_nan=True, allow_infinity=True),

@@ -1,4 +1,4 @@
-"""Pair entropies, the six-entry profile, and entropy fingerprints."""
+"""Pair entropies and the six-entry profile."""
 
 import math
 
@@ -20,8 +20,6 @@ from quartet.entropy import (
     complement,
     eigenvalue_entropy,
     entropy,
-    fingerprint_match,
-    fingerprint_residual,
     pair_entropies,
     pair_parties,
     profile,
@@ -188,7 +186,8 @@ def test_profile_invariances():
     for _ in range(10):
         s = random_state((2, 2, 2, 2), rng)
         p = profile(s)
-        assert fingerprint_residual(p, profile(PureState(s.dims, s.amps.conj()))) < 1e-10
+        conjugate = profile(PureState(s.dims, s.amps.conj())).entries
+        assert max(abs(p.entries[k] - conjugate[k]) for k in PAIRS) < 1e-10
         rotated = s
         for q in range(4):
             rotated = apply_local_unitary(rotated, q, random_unitary(2, rng))
@@ -204,27 +203,12 @@ def test_profile_to_json_shape():
     assert set(doc["pairs"]) == set(PAIRS)
 
 
-def test_fingerprint_match_and_residual():
-    a = profile(make("M4"))
-    b = profile(make("M4_BAR"))
-    assert fingerprint_match(a, a)
-    assert fingerprint_match(a, b)
-    assert fingerprint_match(a, b) == fingerprint_match(b, a)
-    assert fingerprint_residual(a, b) < 1e-12
-
-    c = profile(make("C4"))
-    assert not fingerprint_match(a, c)
-    assert fingerprint_residual(a, c) == pytest.approx(TARGET - 1.0, abs=1e-10)
-
-
-def test_fingerprint_accepts_dicts_sequences_and_tolerance():
-    base = (1.0, 1.0, 2.0)
-    assert fingerprint_match(base, {"x": 1.0, "y": 2.0, "z": 1.0})
-    assert fingerprint_match(base, (1.0, 1.0 + 5e-8, 2.0))
-    assert not fingerprint_match(base, (1.0, 1.0 + 5e-7, 2.0))
-    assert fingerprint_match(base, (1.0, 1.5, 2.0), tol=0.5 + 1e-12)
-    with pytest.raises(DomainError):
-        fingerprint_residual(base, (1.0, 2.0))
+def test_m4_and_m4_bar_share_a_sorted_profile_and_c4_does_not():
+    a = profile(make("M4")).sorted_entries()
+    b = profile(make("M4_BAR")).sorted_entries()
+    assert max(abs(x - y) for x, y in zip(a, b)) < 1e-12
+    c = profile(make("C4")).sorted_entries()
+    assert max(abs(x - y) for x, y in zip(a, c)) == pytest.approx(TARGET - 1.0, abs=1e-10)
 
 
 def test_entropy_profile_is_plain_dataclass():

@@ -17,10 +17,11 @@ from quartet.core import (
     random_state,
     random_unitary,
 )
-from quartet.entropy import fingerprint_match, pair_entropies
+from quartet.entropy import pair_entropies
 from quartet.measure import (
     MAX_TRIALS,
     MeasurementBasis,
+    _party_bases,
     computational_basis,
     equivariance_overlap,
     measure,
@@ -77,6 +78,17 @@ def test_random_basis_is_orthonormal_and_seeded():
         assert np.array_equal(a.vectors, b.vectors)
         gram = a.vectors @ a.vectors.conj().T
         assert np.allclose(gram, np.eye(dim), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_bases_have_haar_moments(d):
+    # For a Haar basis each |<e_j|b_k>|^2 is Beta(1, d - 1) distributed, with mean 1/d
+    # and second moment 2/(d(d + 1)), for the first basis vector and every other alike.
+    trials = 4000
+    weights = np.abs(_party_bases((0,), d, trials, seed=11)[0, -trials:]) ** 2
+    for samples, expected in ((weights, 1.0 / d), (weights**2, 2.0 / (d * (d + 1)))):
+        standard_error = samples.std(axis=0, ddof=1) / math.sqrt(trials)
+        assert np.all(np.abs(samples.mean(axis=0) - expected) < 5.0 * standard_error)
 
 
 def test_born_probabilities_complete():
@@ -172,7 +184,7 @@ def test_m4_residual_entropies_basis_independent():
 def test_m4_residual_fingerprints_agree():
     a = pair_entropies(catalog.make("RESIDUAL_0"))
     b = pair_entropies(catalog.make("RESIDUAL_1"))
-    assert fingerprint_match(a, b)
+    assert sorted(a.values()) == pytest.approx(sorted(b.values()), abs=1e-12)
     assert all(v == pytest.approx(RESIDUAL_ENTROPY, abs=1e-12) for v in a.values())
 
 
@@ -188,6 +200,14 @@ def test_equivariance_overlap_generic_state_is_below_one():
     s = random_state((2, 2, 2, 2), np.random.default_rng(26))
     u = random_unitary(2, np.random.default_rng(27))
     assert equivariance_overlap(s, 0, u) < 1.0 - 1e-3
+
+
+def test_equivariance_overlap_needs_an_outcome_defined_in_both_bases():
+    # X swaps the outcomes of |0000>: each basis has one outcome of probability 1,
+    # and the other basis gives that outcome probability 0.
+    s = from_terms((2, 2, 2, 2), {(0, 0, 0, 0): 1.0})
+    with pytest.raises(DomainError, match="no outcome has probability above the floor"):
+        equivariance_overlap(s, 0, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_robustness_report_m4():

@@ -21,7 +21,10 @@ from quartet.ascent import (
 )
 from quartet.catalog import make
 from quartet.core import DomainError, PureState
-from quartet.entropy import fingerprint_residual, profile
+from quartet.entropy import pair_entropies
+
+# Every pair entropy of |M4>: each pair reduction has spectrum (1/2, 1/6, 1/6, 1/6).
+M4_PAIR_ENTROPY = 1.0 + 0.5 * math.log2(3.0)
 
 DIMS = (2, 2, 2, 2)
 STOP_REASONS = {"converged", "line_search_failed", "max_iters"}
@@ -41,12 +44,11 @@ def _sequential_starts(n_amps, restarts, seed):
 
 
 def _sequential_maximize(seed, restarts, max_iters):
-    fingerprint = profile(make("M4")).sorted_entries()
     records, states = [], []
     for r, amps0 in enumerate(_sequential_starts(16, restarts, seed)):
         outcome = ascend(lambda a: value_and_gradient_raw(a, DIMS), amps0, max_iters=max_iters)
         state = PureState(DIMS, outcome.amps)
-        residual = fingerprint_residual(profile(state), fingerprint)
+        residual = max(abs(v - M4_PAIR_ENTROPY) for v in pair_entropies(state).values())
         records.append((r, outcome.value, outcome.grad_norm, outcome.iterations,
                         outcome.converged, residual))
         states.append(state)
@@ -296,7 +298,6 @@ def test_a_direction_that_does_not_ascend_clears_the_memory(monkeypatch):
 
 
 def test_maximize_makes_one_eigh_per_evaluation_and_no_eigvalsh_in_its_search(monkeypatch):
-    ascent._m4_fingerprint()
     shapes = {"eigh": [], "eigvalsh": []}
     for name, found in shapes.items():
         def counted(a, *args, _found=found, _original=getattr(np.linalg, name), **kwargs):
@@ -306,8 +307,8 @@ def test_maximize_makes_one_eigh_per_evaluation_and_no_eigvalsh_in_its_search(mo
         monkeypatch.setattr(np.linalg, name, counted)
     report = maximize(restarts=3, seed=0)
     assert shapes["eigh"] == [(3, 4, 4)] * sum(r.evaluations for r in report.restarts)
-    # Only the fingerprint of each final state reads spectra with eigvalsh.
-    assert shapes["eigvalsh"] == [(6, 4, 4)] * 3
+    # Only the residuals read spectra with eigvalsh: every final state's six pairs at once.
+    assert shapes["eigvalsh"] == [(3, 6, 4, 4)]
 
 
 def test_deviation_descent_never_rises_by_more_than_the_tie():

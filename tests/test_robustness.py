@@ -220,9 +220,10 @@ def test_a_report_builds_one_generator_per_party(monkeypatch, trials):
 
 
 # Parties whose residuals have equal dims share one pass, split so that a pass holds
-# no more bases than one party at MAX_TRIALS; each pass draws and completes its bases
-# in one call each.  The state's norm is checked once, and its pair reductions come
-# from one pair_cuts call per (d_p, d_q) group of ordered pairs, whatever the passes.
+# no more bases than one party at MAX_TRIALS; each pass draws its bases in one call and
+# completes them in d - 1, one Householder reflection per dimension from d down to 2.
+# The state's norm is checked once, and its pair reductions come from one pair_cuts
+# call per (d_p, d_q) group of ordered pairs, whatever the passes.
 @pytest.mark.parametrize("dims, max_trials, passes", [
     ((2, 2, 2, 2), 4096, [(0, 1, 2, 3)]),
     ((4, 4, 4, 4), 4096, [(0, 1, 2, 3)]),
@@ -245,7 +246,7 @@ def test_a_report_makes_one_call_per_pass(monkeypatch, dims, max_trials, passes)
     monkeypatch.setattr(measure_mod, "MAX_TRIALS", max_trials)
     report = robustness_report(s, trials=4, seed=2)
     assert [tuple(args[0]) for args in calls["_party_bases"]] == passes
-    assert len(calls["unitary_from_first_column"]) == len(passes)
+    assert len(calls["unitary_from_first_column"]) == sum(dims[ps[0]] - 1 for ps in passes)
     assert len(calls["check_normalized"]) == 1
     cut_groups = [{(dims[p], dims[q]) for p, q in args[2]} for args in calls["pair_cuts"]]
     assert all(len(group) == 1 for group in cut_groups)
