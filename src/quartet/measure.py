@@ -82,7 +82,8 @@ def _gaussian_bases(normals: np.ndarray, d: int) -> np.ndarray:
 
 
 def random_basis(party: int, dim: int, rng) -> MeasurementBasis:
-    """A Haar-random basis from one draw of dim(dim + 1) - 2 normals."""
+    """A Haar-random basis from one draw of dim(dim + 1) - 2 normals; dim is at least 2."""
+    check_count("dim", dim, 2)
     return MeasurementBasis(party, _gaussian_bases(rng.standard_normal(dim * (dim + 1) - 2), dim))
 
 
@@ -96,17 +97,11 @@ class MeasurementOutcome:
     residual: PureState
 
 
-def _fronts(s: PureState, parties: tuple, d: int) -> np.ndarray:
-    """The amplitudes of ``s`` as (G, d, R) matrices, party ``parties[g]`` on the rows
-    of matrix g and the other parties, in their original order, on its columns."""
-    t = s.tensor()
-    return np.stack([np.moveaxis(t, party, 0).reshape(d, -1) for party in parties])
-
-
 def _branches(s: PureState, parties: tuple, vectors: np.ndarray) -> tuple:
     """Measure each of ``parties`` in every basis of its stack at once: ``vectors``
     (G, B, d, d) holds the B bases of party ``parties[g]`` in row g, and every
-    listed party has local dimension d.
+    listed party has local dimension d.  ``measure``, ``equivariance_overlap`` and a
+    robustness pass with a branch below ``SIGMA_PROB`` all contract through here.
 
     Returns the Born probabilities (G, B, d), the residual amplitudes (G, B, d, R)
     on the other parties in their original order, and the mask (G, B, d) of
@@ -124,7 +119,8 @@ def _branches(s: PureState, parties: tuple, vectors: np.ndarray) -> tuple:
             raise ShapeError(f"basis dimension {d} does not match party "
                              f"dimension {s.dims[party]}")
     check_normalized(s.amps)
-    w = (vectors.conj().reshape(g, b * d, d) @ _fronts(s, parties, d)).reshape(g, b, d, -1)
+    fronts = np.stack([np.moveaxis(s.tensor(), party, 0).reshape(d, -1) for party in parties])
+    w = (vectors.conj().reshape(g, b * d, d) @ fronts).reshape(g, b, d, -1)
     probs = np.linalg.norm(w, axis=-1) ** 2
     defined = probs >= PROB_FLOOR
     w[defined] /= np.sqrt(probs[defined])[:, None]
@@ -217,14 +213,14 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
     Most branches build no residual state: outcome b of measuring party p leaves q with
     sigma_q(b) = (b^dagger x I) rho_pq (b x I), rho_pq the state's own reduction, whose
     trace is the Born probability, and the residual pair without q has the entropy of
-    sigma_q.  One ``pair_cuts`` call per (d_p, d_q) group gives every rho_pq.  Parties
-    whose residuals have equal dims share a pass: one basis completion (d - 1
-    reflections), one batched matmul of the outer products conj(b) x b against the
-    rho_pq, and one ``spectra`` call per residual dim, in closed form for a qubit.  A
+    sigma_q.  Parties whose residuals have equal dims share a pass, with one basis
+    completion (d - 1 reflections).  Per residual dim a pass makes one ``pair_cuts``
+    call for the rho_pq of its parties, one batched matmul of the outer products
+    conj(b) x b against them, and one ``spectra`` call, in closed form for a qubit.  A
     branch whose sigma has trace below ``SIGMA_PROB`` loses too many digits to
-    cancellation; it is read from its own contracted vector instead, all such branches
-    of a pass in one ``stacked_pair_entropies`` call.  A pass holds no more bases than
-    one party at ``MAX_TRIALS``, and ``trials`` must be an integer in 1..``MAX_TRIALS``.
+    cancellation; its pass reads it from ``_branches`` instead, all such branches of the
+    pass in one ``stacked_pair_entropies`` call.  A pass holds no more bases than one
+    party at ``MAX_TRIALS``, and ``trials`` must be an integer in 1..``MAX_TRIALS``.
     """
     if s.n_parties != 4:
         raise DomainError(f"robustness_report is defined for four parties, got {s.n_parties}")
@@ -233,15 +229,6 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
         raise DomainError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     check_count("seed", seed)
     check_normalized(s.amps)
-    cuts = {}
-    for p, q in itertools.permutations(range(4), 2):
-        cuts.setdefault((s.dims[p], s.dims[q]), []).append((p, q))
-    # blocks[p, q][(i, i'), (j, j')] = rho_pq[(i, j), (i', j')], so sigma_q(b) = (conj(b) x b) @ blocks[p, q].
-    blocks = {}
-    for (dp, dq), rows in cuts.items():
-        _, rho = pair_cuts(s.amps, s.dims, tuple(rows))
-        blocks.update(zip(rows, rho.reshape(-1, dp, dq, dp, dq).swapaxes(2, 3)
-                          .reshape(-1, dp * dp, dq * dq)))
     groups = {}
     for p in range(4):
         groups.setdefault(s.dims[:p] + s.dims[p + 1:], []).append(p)
@@ -251,50 +238,43 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
               for i in range(0, len(parties), size)]
     entries, low, high, total, count = {}, np.inf, -np.inf, 0.0, 0
     for rest, parties in passes:
-        d = s.dims[parties[0]]
+        g, d = len(parties), s.dims[parties[0]]
         bases = _party_bases(parties, d, trials, seed)
         n_bases = bases.shape[1]
-        vecs = bases.reshape(len(parties), -1, d)
-        # Residual position k (party q = others[k]) is the complement of pair 2 - k in
-        # combinations order.  Columns run by dim, so that each dim is one slice, and
-        # within a dim from the last position down, so that equal dims give pair order.
-        order = sorted(range(2, -1, -1), key=rest.__getitem__)
+        vecs = bases.reshape(g, -1, d)
+        outer = (vecs.conj()[..., :, None] * vecs[..., None, :]).reshape(g, -1, d * d)
         others = [[q for q in range(4) if q != p] for p in parties]
-        sigma = ((vecs.conj()[..., :, None] * vecs[..., None, :]).reshape(len(parties), -1, d * d)
-                 @ np.stack([np.concatenate([blocks[p, qs[k]] for k in order], axis=1)
-                             for p, qs in zip(parties, others)]))
-        # Rows are (basis, outcome).  The Born probability is the trace of the first
-        # sigma, whose diagonal is every (e + 1)-th of the first e * e columns.
-        e = rest[order[0]]
-        probs = sigma[..., :e * e:e + 1].real.sum(axis=-1)
-        # sigma carries a round-off of about 1e-16 whatever its trace P, and normalizing
-        # its spectrum magnifies that to 1e-16 / P.  A branch below SIGMA_PROB takes its
-        # probability and entropies from its contracted vector, whose round-off scales with P.
-        near = probs < SIGMA_PROB
-        ents = np.zeros(probs.shape + (3,))
-        if near.any():
-            rows = np.nonzero(near)
-            w = (vecs[rows].conj()[:, None] @ _fronts(s, parties, d)[rows[0]])[:, 0]
-            probs[rows] = np.linalg.norm(w, axis=-1) ** 2
-            read = probs[rows] >= PROB_FLOOR
-            ents[tuple(r[read] for r in rows)] = stacked_pair_entropies(
-                w[read] / np.sqrt(probs[rows][read])[:, None], rest)
-        defined = probs >= PROB_FLOOR
-        from_sigma = defined & ~near
-        start = 0
-        for e, ks in itertools.groupby(order, key=rest.__getitem__):
-            index = [2 - k for k in ks]
-            stop = start + len(index) * e * e
-            sig = sigma[..., start:stop].reshape(probs.shape + (len(index), e, e))
+        ents, probs = np.empty((g, n_bases * d, 3)), None
+        # Residual position k (party q = others[k]) is the complement of pair 2 - k in
+        # combinations order.  Each residual dim e is one group, smallest first, its
+        # positions from the last down, so that equal dims give pair order.
+        for e in sorted(set(rest)):
+            ks = [k for k in (2, 1, 0) if rest[k] == e]
+            _, rho = pair_cuts(s.amps, s.dims, tuple((p, qs[k]) for p, qs in zip(parties, others)
+                                                     for k in ks))
+            # rho_pq[(i, j), (i', j')] moves to row (i, i') and column (k, j, j'), so that
+            # sigma_q(b) = (conj(b) x b) @ rho; rows of sigma are (basis, outcome).
+            sig = (outer @ rho.reshape(g, len(ks), d, e, d, e).transpose(0, 2, 4, 1, 3, 5)
+                   .reshape(g, d * d, -1)).reshape(g, -1, len(ks), e, e)
             traces = np.einsum("...ii->...", sig).real
-            # Only the branches read here are normalized; the others keep their entropies.
-            lam = spectra(sig) / np.where(from_sigma[..., None], traces, 1.0)[..., None]
-            ents[..., index] = np.where(from_sigma[..., None], eigenvalue_entropy(lam),
-                                        ents[..., index])
-            start = stop
+            if probs is None:
+                # The Born probability is the trace of the first sigma.  sigma carries a
+                # round-off of about 1e-16 whatever its trace P, and normalizing its spectrum
+                # magnifies that to 1e-16 / P, so a branch below SIGMA_PROB is read from its
+                # contracted vector, whose round-off scales with P.
+                probs = traces[..., 0]
+                near = probs < SIGMA_PROB
+            lam = spectra(sig) / np.where(near[..., None], 1.0, traces)[..., None]
+            ents[..., [2 - k for k in ks]] = np.where(near[..., None], 0.0, eigenvalue_entropy(lam))
+        if near.any():
+            branch_probs, w, _ = _branches(s, parties, bases)
+            probs[near] = branch_probs.reshape(g, -1)[near]
+            read = near & (probs >= PROB_FLOOR)
+            ents[read] = stacked_pair_entropies(w.reshape(g, n_bases * d, -1)[read], rest)
+        defined = probs >= PROB_FLOOR
         # Undefined branches cannot decide fragility, because every basis of a
         # normalized state has a defined branch.
-        fragile = np.all(ents.reshape(len(parties), n_bases, -1) < FRAGILE_TOL, axis=-1).tolist()
+        fragile = np.all(ents.reshape(g, n_bases, -1) < FRAGILE_TOL, axis=-1).tolist()
         n_named = n_bases - trials
         # Each party's random trials give min/max/mean per pair over defined branches only.
         random, kept = ents[:, n_named * d:], defined[:, n_named * d:, None]
@@ -307,14 +287,14 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
         low, high = min(low, lows.min()), max(high, highs.max())
         total, count = total + sums.sum(), count + 3 * int(counts.sum())
         named_probs, named_ents, named_defined = (
-            a[:, :n_named * d].reshape((len(parties), n_named, d) + a.shape[2:]).tolist()
+            a[:, :n_named * d].reshape((g, n_named, d) + a.shape[2:]).tolist()
             for a in (probs, ents, defined))
-        for g, p in enumerate(parties):
+        for i, p in enumerate(parties):
             _, pairs = _residual_pairs(p, 4)
             entry = {}
             for name, b_probs, b_ents, b_defined, b_fragile in zip(
-                    ("computational", "plusminus"), named_probs[g], named_ents[g],
-                    named_defined[g], fragile[g]):
+                    ("computational", "plusminus"), named_probs[i], named_ents[i],
+                    named_defined[i], fragile[i]):
                 outcomes = [
                     {"outcome": k, "probability": prob, "entropies": dict(zip(pairs, values))}
                     if ok else {"outcome": k, "probability": prob, "undefined": True}
@@ -322,8 +302,8 @@ def robustness_report(s: PureState, trials: int, seed: int = 0) -> dict:
                 entry[name] = {"fragile": b_fragile, "outcomes": outcomes}
             entry["random"] = {
                 "pairs": {pair: dict(zip(("min", "max", "mean"), row))
-                          for pair, row in zip(pairs, stats[g])},
-                "fragile_trials": [t for t in range(trials) if fragile[g][n_named + t]],
+                          for pair, row in zip(pairs, stats[i])},
+                "fragile_trials": [t for t in range(trials) if fragile[i][n_named + t]],
             }
             entries[p] = entry
     mean = min(max(total / count, low), high)

@@ -389,3 +389,15 @@ def test_random_starts_are_pinned(dims):
             for d, vec in zip(dims, got):
                 z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                 assert np.array_equal(vec, z / np.linalg.norm(z))
+
+
+def test_random_starts_have_haar_moments():
+    # A Haar unit vector in dimension d has each |v_j|^2 Beta(1, d - 1): mean 1/d and
+    # second moment 2/(d(d + 1)).
+    rng = np.random.default_rng(107)
+    draws = [canonical._random_product((2, 3, 4), rng) for _ in range(4000)]
+    for p, d in enumerate((2, 3, 4)):
+        weights = np.abs(np.array([vecs[p] for vecs in draws])) ** 2
+        for samples, expected in ((weights, 1.0 / d), (weights**2, 2.0 / (d * (d + 1)))):
+            standard_error = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+            assert np.all(np.abs(samples.mean(axis=0) - expected) < 5.0 * standard_error)

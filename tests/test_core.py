@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quartet
+from quartet.ascent import haar_starts
 from quartet.core import (
     UNIT_NORM_TOL,
     DomainError,
@@ -192,6 +193,41 @@ def test_random_unitary_is_unitary_and_seeded():
     assert np.array_equal(x, y)
 
 
+def assert_mean_within_five_standard_errors(samples, expected):
+    """Each column of ``samples`` (N, ...) has its mean within 5 standard errors of ``expected``."""
+    standard_error = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    assert np.all(np.abs(samples.mean(axis=0) - expected) < 5.0 * standard_error)
+
+
+# A Haar state of four qubits has mean AB|CD purity 8/17 (Lubkin, J. Math. Phys. 19, 1028
+# (1978)) and mean AB entropy sum_{k=5}^{16} 1/k - 3/8 nats (Page, PRL 71, 1291 (1993)).
+LUBKIN_PURITY = 8 / 17
+PAGE_ENTROPY_BITS = (math.fsum(1 / k for k in range(5, 17)) - 3 / 8) / math.log(2)
+
+
+@pytest.mark.parametrize("sampler", ["random_state", "haar_starts"])
+def test_haar_states_have_lubkin_purity_and_page_entropy(sampler):
+    n = 4000
+    if sampler == "random_state":
+        rng = np.random.default_rng(104)
+        amps = np.array([random_state((2, 2, 2, 2), rng).amps for _ in range(n)])
+    else:
+        amps = np.array(list(haar_starts((2, 2, 2, 2), n, 105)))
+    m = amps.reshape(n, 4, 4)
+    lam = np.clip(np.linalg.eigvalsh(m @ m.conj().swapaxes(1, 2)), 1e-300, None)
+    assert_mean_within_five_standard_errors(np.sum(lam**2, axis=1), LUBKIN_PURITY)
+    assert_mean_within_five_standard_errors(-np.sum(lam * np.log2(lam), axis=1), PAGE_ENTROPY_BITS)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_unitary_has_haar_moments(d):
+    # Each |u_jk|^2 of a Haar unitary is Beta(1, d - 1): mean 1/d, second moment 2/(d(d + 1)).
+    rng = np.random.default_rng([106, d])
+    weights = np.abs(np.array([random_unitary(d, rng) for _ in range(2000)])) ** 2
+    assert_mean_within_five_standard_errors(weights, 1.0 / d)
+    assert_mean_within_five_standard_errors(weights**2, 2.0 / (d * (d + 1)))
+
+
 def test_party_index_letters_and_bounds():
     assert party_index("A", 4) == 0
     assert party_index("d", 4) == 3
@@ -258,7 +294,8 @@ def state_payloads(draw):
     dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
     n = math.prod(dims)
     pair = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
-    amps = draw(st.lists(pair, min_size=n, max_size=n))
+    # One drawn seed gives every amplitude: drawing n pairs through Hypothesis costs seconds.
+    amps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, (n, 2)).tolist()
     if damage == "entries":
         for _ in range(draw(st.integers(1, 3))):
             amps[draw(st.integers(0, n - 1))] = draw(st.one_of(

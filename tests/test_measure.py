@@ -80,6 +80,12 @@ def test_random_basis_is_orthonormal_and_seeded():
         assert np.allclose(gram, np.eye(dim), atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [0, 1])
+def test_random_basis_rejects_a_dimension_below_two(dim):
+    with pytest.raises(DomainError, match="dim must be >= 2"):
+        random_basis(0, dim, np.random.default_rng(5))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_random_bases_have_haar_moments(d):
     # For a Haar basis each |<e_j|b_k>|^2 is Beta(1, d - 1) distributed, with mean 1/d

@@ -126,7 +126,7 @@ ORACLE_STATES = {
     "|0000>+1e-10|1111>": lambda: from_terms((2, 2, 2, 2), {(0, 0, 0, 0): np.sqrt(1 - 1e-20),
                                                            (1, 1, 1, 1): 1e-10}),
     **{f"product{dims}, a random branch at {prob:g}": (lambda d=dims, q=prob: _near_floor_product(d, q))
-       for dims in ((2, 2, 2, 2), (4, 4, 4, 4)) for prob in (1e-8, 1e-3)},
+       for dims in ((2, 2, 2, 2), (4, 4, 4, 4), (2, 3, 4, 2)) for prob in (1e-8, 1e-3)},
 }
 
 
@@ -222,8 +222,8 @@ def test_a_report_builds_one_generator_per_party(monkeypatch, trials):
 # Parties whose residuals have equal dims share one pass, split so that a pass holds
 # no more bases than one party at MAX_TRIALS; each pass draws its bases in one call and
 # completes them in d - 1, one Householder reflection per dimension from d down to 2.
-# The state's norm is checked once, and its pair reductions come from one pair_cuts
-# call per (d_p, d_q) group of ordered pairs, whatever the passes.
+# The state's norm is checked once, and each pass reads its pair reductions with one
+# pair_cuts call per residual dim, so every ordered pair is read once.
 @pytest.mark.parametrize("dims, max_trials, passes", [
     ((2, 2, 2, 2), 4096, [(0, 1, 2, 3)]),
     ((4, 4, 4, 4), 4096, [(0, 1, 2, 3)]),
@@ -248,9 +248,9 @@ def test_a_report_makes_one_call_per_pass(monkeypatch, dims, max_trials, passes)
     assert [tuple(args[0]) for args in calls["_party_bases"]] == passes
     assert len(calls["unitary_from_first_column"]) == sum(dims[ps[0]] - 1 for ps in passes)
     assert len(calls["check_normalized"]) == 1
-    cut_groups = [{(dims[p], dims[q]) for p, q in args[2]} for args in calls["pair_cuts"]]
-    assert all(len(group) == 1 for group in cut_groups)
-    assert len(cut_groups) == len({(dims[p], dims[q]) for p, q in itertools.permutations(range(4), 2)})
+    rests = [dims[:ps[0]] + dims[ps[0] + 1:] for ps in passes]
+    assert len(calls["pair_cuts"]) == sum(len(set(rest)) for rest in rests)
+    assert all(len({(dims[p], dims[q]) for p, q in args[2]}) == 1 for args in calls["pair_cuts"])
     assert sorted(pair for args in calls["pair_cuts"] for pair in args[2]) == sorted(
         itertools.permutations(range(4), 2))
     assert_same_report(report, expected)
@@ -270,21 +270,23 @@ def test_a_report_builds_no_residual_state(monkeypatch):
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (4, 4, 4, 4)], ids=["2222", "4444"])
 def test_only_branches_below_sigma_prob_are_read_from_their_vectors(monkeypatch, dims):
     # Every defined branch below SIGMA_PROB, and no other, reaches stacked_pair_entropies,
-    # in one call per pass; _branches is never called.
+    # in one call per pass; that pass, the only one, reads them with one _branches call.
     s = _near_floor_product(dims)
-    read = []
+    read, branched = [], []
 
     def recording(amps, rest):
         read.append(amps)
         return stacked_pair_entropies(amps, rest)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("_branches called")
+    def counted(s, parties, vectors):
+        branched.append(tuple(parties))
+        return _branches(s, parties, vectors)
 
     monkeypatch.setattr(measure_mod, "stacked_pair_entropies", recording)
-    monkeypatch.setattr(measure_mod, "_branches", forbidden)
+    monkeypatch.setattr(measure_mod, "_branches", counted)
     report = robustness_report(s, trials=1, seed=0)
     monkeypatch.undo()
+    assert branched == [(0, 1, 2, 3)]
     probs = [o.probability for p in range(4)
              for basis in _party_bases((p,), dims[p], 1, 0)[0]
              for o in measure(s, MeasurementBasis(p, basis))]
