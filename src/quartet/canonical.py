@@ -2,13 +2,21 @@
 
 The overlap N = |<s|a_1 ... a_n>|^2 is maximized one party at a time; with the
 other parties fixed, the exact maximizer is the normalized contraction of the
-state against them, so the overlap never falls (the higher-order power method
-of De Lathauwer, De Moor and Vandewalle, 2000) and no contraction norm of a
-start falls after its first party step.  The converged product vectors define
-per-party unitaries that rotate each maximizer to |0>, after which every
-coefficient with a single party excited to level 1 vanishes at a true fixed
-point.  A sweep ends on the last party's normalized contraction v / |v|, so
-the |0...0> coefficient <v / |v|, v> = |v| is real nonnegative as it stands.
+state against them, so a party step never lowers the overlap (the higher-order
+power method of De Lathauwer, De Moor and Vandewalle, 2000).  That method
+converges linearly: each sweep's drift, the largest move of a contraction off
+its party's vector, shrinks by a nearly constant ratio r.  So from sweep
+``EXTRAPOLATE_FROM`` on, a start whose ratio is stable (inside
+``EXTRAPOLATE_RATIOS`` and within ``EXTRAPOLATE_STABILITY`` of the last
+sweep's) tries the geometric (Aitken) step v + r / (1 - r) (v - v_prev) on
+every party vector, normalized, and keeps it unless it lowers the overlap by
+more than ``EXTRAPOLATE_TIE`` of itself; the step only shortens the search,
+and the drift stopping rule is that of the plain sweep.  The converged product
+vectors define per-party unitaries that rotate each maximizer to |0>, after
+which every coefficient with a single party excited to level 1 vanishes at a
+true fixed point.  A start stops only at the end of a plain sweep, which ends
+on the last party's normalized contraction v / |v|, so the |0...0>
+coefficient <v / |v|, v> = |v| is real nonnegative as it stands.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +29,16 @@ from .core import (DomainError, PureState, apply_kept_operator, check_count, che
 DEFAULT_RESTARTS = 16
 SWEEP_RESIDUAL_TOL = 1e-10
 MAX_SWEEPS = 500
+# The extrapolation step: the first sweep that may take it, the open range of
+# drift ratios it trusts, the relative change of the ratio between two sweeps
+# below which it counts as stable, and the relative overlap fall it may cause.
+# Near a fixed point the overlap is flat at float resolution, so "strictly
+# above" would be decided by rounding; the tie stays far below criterion 6's
+# overlap backstep of 1e-14.
+EXTRAPOLATE_FROM = 20
+EXTRAPOLATE_RATIOS = (0.3, 0.999)
+EXTRAPOLATE_STABILITY = 0.2
+EXTRAPOLATE_TIE = 4e-15
 RESIDUAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-14
 TIE_TOL = 1e-12
@@ -64,11 +82,13 @@ class RestartRecord:
     off its axis by more than ``SWEEP_RESIDUAL_TOL``) or ``max_sweeps`` (stopped
     at ``MAX_SWEEPS`` without settling).  ``reseeds`` is 1 for a computational
     start that was replaced by a random one before the search, else 0.
+    ``extrapolations`` counts the geometric steps the start kept.
     """
 
     restart: int
     sweeps: int
     reseeds: int
+    extrapolations: int
     overlap: float
     stop_reason: str
 
@@ -86,16 +106,20 @@ def _alternate(t: np.ndarray, starts, reseeds):
 
     A party step is one matmul of the row-wise outer product of the other
     parties' conjugated vectors against the state held as a ``(D/d_p, d_p)``
-    matrix; the drift of every party is taken once per sweep.  Every row
-    sweeps until the last one stops; a row's vectors and record are taken in
-    the sweep where it stops, and its history is the first ``sweeps`` entries
-    of its column of the per-sweep overlap trace.
+    matrix; the drift of every party is taken once per sweep.  A row that has
+    not stopped then tries the extrapolation step of the module docstring, with
+    r = sqrt(drift2_k / drift2_{k-1}); the moved overlap is one last-party
+    contraction, the matmul shape of a party step.  Every row sweeps until the
+    last one stops; a row's vectors and record are taken in the sweep where it
+    stops, and its history is the first ``sweeps`` entries of its column of the
+    per-sweep overlap trace.
     Returns ``(vectors, histories, records)``, ``vectors[r]`` holding row r's
     final vector of each party.
     """
     n = t.ndim
     rows = len(reseeds)
     offsets = np.cumsum((0,) + t.shape[:-1])
+    parts = [slice(a, a + d) for a, d in zip(offsets.tolist(), t.shape)]
     fronts = [np.moveaxis(t, p, -1).reshape(-1, d) for p, d in enumerate(t.shape)]
     vectors = list(starts)
     conj = [v.conj() for v in vectors]
@@ -103,6 +127,9 @@ def _alternate(t: np.ndarray, starts, reseeds):
     records = [None] * rows
     active = np.ones(rows, dtype=bool)
     trace = []
+    low, high = EXTRAPOLATE_RATIOS
+    last_drift2 = last_ratio = np.zeros(rows)
+    extrapolations = np.zeros(rows, dtype=int)
     sweep = 0
     while active.any():
         prior = vectors[:]
@@ -135,9 +162,41 @@ def _alternate(t: np.ndarray, starts, reseeds):
         settled = (sweep > 1) & (np.sqrt(drift2) < SWEEP_RESIDUAL_TOL)
         for r in np.flatnonzero(active & (settled | (sweep >= MAX_SWEEPS))).tolist():
             reason = "settled" if settled[r] else "max_sweeps"
-            records[r] = RestartRecord(r, sweep, reseeds[r], float(overlap[r]), reason)
+            records[r] = RestartRecord(r, sweep, reseeds[r], int(extrapolations[r]),
+                                       float(overlap[r]), reason)
             final[r] = [v[r] for v in vectors]
             active[r] = False
+        # The ratio of the first sweep that may extrapolate needs its own
+        # predecessor, so ratios start one sweep earlier; last_ratio is 0 until
+        # then, which no ratio is stable against.  The floor only touches rows
+        # that have stopped, whose drift may reach 0.
+        if sweep < EXTRAPOLATE_FROM - 1:
+            last_drift2 = drift2
+            continue
+        ratio = np.sqrt(drift2 / np.maximum(last_drift2, SWEEP_RESIDUAL_TOL**2))
+        stable = (active & (low < ratio) & (ratio < high)
+                  & (np.abs(ratio - last_ratio) < EXTRAPOLATE_STABILITY * last_ratio))
+        last_drift2, last_ratio = drift2, ratio
+        if not stable.any():
+            continue
+        trusted = np.where(stable, ratio, 0.0)  # rows that do not try the step stay put
+        new = np.concatenate(vectors, axis=1)
+        moved = new + (trusted / (1.0 - trusted))[:, None] * (new - replaced)
+        x = moved.view(float)
+        moved /= np.repeat(np.sqrt(np.add.reduceat(x * x, 2 * offsets, axis=1)), t.shape, axis=1)
+        moved_conj = moved.conj()
+        before = None
+        for part in parts[:-1]:
+            before = _outer(before, moved_conj[:, part])
+        c = ((before @ fronts[-1]) * moved_conj[:, parts[-1]]).sum(axis=1)
+        x = c.view(float).reshape(rows, 2)
+        better = stable & ((x * x).sum(axis=1) > overlap * (1.0 - EXTRAPOLATE_TIE))
+        if better.any():
+            extrapolations += better
+            new = np.where(better[:, None], moved, new)
+            new_conj = new.conj()
+            vectors = [new[:, part] for part in parts]
+            conj = [new_conj[:, part] for part in parts]
     trace = np.array(trace)
     histories = [trace[:rec.sweeps, r].tolist() for r, rec in enumerate(records)]
     return final, histories, records

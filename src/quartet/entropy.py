@@ -34,14 +34,15 @@ def eigenvalue_entropy(lam):
     """Von Neumann entropy in bits of each spectrum along the last axis of ``lam``.
 
     Eigenvalues in [-1e-10, 0) are treated as exact zeros; anything more
-    negative is rejected.  Eigenvalues below ``EIG_FLOOR`` contribute exactly zero,
-    and a pure spectrum has entropy +0.0, never -0.0.
+    negative is rejected.  Eigenvalues below ``EIG_FLOOR`` contribute exactly zero.
+    An entropy is never negative: a pure spectrum whose eigenvalue rounds just
+    above 1, such as [1 + 4.4e-16, 0], gives +0.0 like an exact one, never -0.0.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.min(initial=0.0) < -1e-10:
         raise DomainError("matrix is not positive semidefinite within tolerance")
     kept = np.where(lam >= EIG_FLOOR, lam, 1.0)
-    return 0.0 - (kept * np.log2(kept)).sum(axis=-1)
+    return np.maximum(0.0 - (kept * np.log2(kept)).sum(axis=-1), 0.0)
 
 
 def spectra(rho) -> np.ndarray:

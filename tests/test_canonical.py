@@ -9,6 +9,10 @@ import pytest
 from quartet import canonical
 from quartet.canonical import (
     DEGENERACY_TOL,
+    EXTRAPOLATE_FROM,
+    EXTRAPOLATE_RATIOS,
+    EXTRAPOLATE_STABILITY,
+    EXTRAPOLATE_TIE,
     MAX_RESTARTS,
     MAX_SWEEPS,
     SWEEP_RESIDUAL_TOL,
@@ -185,6 +189,36 @@ def test_overlap_invariant_under_local_rotations():
     assert abs(base - again) < 1e-8
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_overlaps_match_derived_values(seed):
+    # C4 and PSI_EXAMPLE meet the largest squared singular value of a cut's unfolding,
+    # which bounds every product overlap.  RESIDUAL_0 and RESIDUAL_1 are W states up to
+    # local unitaries, whose overlap is 4/9 (Wei & Goldbart, PRA 68, 042307 (2003)).
+    for name, value in (("C4", 1 / 2), ("PSI_EXAMPLE", 1 / 4), ("RESIDUAL_0", 4 / 9),
+                        ("RESIDUAL_1", 4 / 9)):
+        assert abs(canonicalize(make(name), seed=seed).overlap - value) <= 1e-12
+
+
+def test_restart_records_count_accepted_extrapolations():
+    s = random_state((4, 4, 4, 4), np.random.default_rng(66))
+    assert max(r.extrapolations for r in canonicalize(s, seed=0).restarts) > 0
+    # Both settle before EXTRAPOLATE_FROM, so no start tries the step.
+    for name in ("M4", "C4"):
+        form = canonicalize(make(name), seed=0)
+        assert all(r.extrapolations == 0 for r in form.restarts)
+        assert max(r.sweeps for r in form.restarts) < EXTRAPOLATE_FROM
+
+
+def test_extrapolation_shortens_the_slowest_start(monkeypatch):
+    states = [random_state(dims, np.random.default_rng([67, k]))
+              for dims in ((2, 2, 2, 2), (4, 4, 4, 4)) for k in range(3)]
+    fast = [max(r.sweeps for r in canonicalize(s, seed=0).restarts) for s in states]
+    monkeypatch.setattr(canonical, "EXTRAPOLATE_FROM", MAX_SWEEPS + 1)
+    plain = [max(r.sweeps for r in canonicalize(s, seed=0).restarts) for s in states]
+    assert all(f <= p for f, p in zip(fast, plain))
+    assert sum(plain) >= 1.5 * sum(fast)
+
+
 def test_canonicalize_validates_input():
     for bad in (0, -1, MAX_RESTARTS + 1, 2.5, True, "4", None):
         with pytest.raises(DomainError):
@@ -229,13 +263,20 @@ def _sequential_contract(t, vectors, skip):
 def _sequential_alternate(t, dims, vectors):
     """Reference: one start at a time, the loop the lockstep alternation replaced.
 
-    Returns ``(overlap, history, norms, stop_reason)``, ``norms`` holding every
-    party step's contraction norm in order.
+    From sweep ``EXTRAPOLATE_FROM`` on, a start whose drift ratio is stable
+    tries the geometric step on every party and keeps it unless it lowers the
+    overlap by more than the tie.  Returns ``(overlap, history, norms,
+    extrapolations, stop_reason)``, ``norms`` holding every party step's
+    contraction norm in order.
     """
     vectors = [np.asarray(v, dtype=complex).copy() for v in vectors]
     history = []
     norms = []
+    extrapolations = 0
+    last_drift = None
+    low, high = EXTRAPOLATE_RATIOS
     for sweep in range(1, MAX_SWEEPS + 1):
+        prior = [v.copy() for v in vectors]
         drift = 0.0
         for p in range(len(dims)):
             v = _sequential_contract(t, vectors, p)
@@ -246,8 +287,21 @@ def _sequential_alternate(t, dims, vectors):
             vectors[p] = v / nv
         history.append(float(nv * nv))
         if sweep > 1 and drift < SWEEP_RESIDUAL_TOL:
-            return history[-1], history, norms, "settled"
-    return history[-1], history, norms, "max_sweeps"
+            return history[-1], history, norms, extrapolations, "settled"
+        if sweep >= EXTRAPOLATE_FROM - 1:
+            ratio = drift / last_drift
+            if (sweep >= EXTRAPOLATE_FROM and low < ratio < high
+                    and abs(ratio - last_ratio) < EXTRAPOLATE_STABILITY * last_ratio):
+                step = ratio / (1.0 - ratio)
+                moved = [v + step * (v - u) for v, u in zip(vectors, prior)]
+                moved = [v / np.linalg.norm(v) for v in moved]
+                c = moved[-1].conj() @ _sequential_contract(t, moved, len(dims) - 1)
+                if abs(c) ** 2 > history[-1] * (1.0 - EXTRAPOLATE_TIE):
+                    vectors = moved
+                    extrapolations += 1
+            last_ratio = ratio
+        last_drift = drift
+    return history[-1], history, norms, extrapolations, "max_sweeps"
 
 
 def _sequential_restarts(s, restarts, seed):
@@ -276,9 +330,11 @@ def _chosen_start(records):
 
 def _assert_matches_sequential(form, reference):
     assert [r.restart for r in form.restarts] == list(range(len(reference)))
-    for record, (reseeds, overlap, history, _, reason) in zip(form.restarts, reference):
+    for record, (reseeds, overlap, history, _, extrapolations, reason) in zip(form.restarts,
+                                                                              reference):
         assert record.sweeps == len(history)
         assert record.reseeds == reseeds
+        assert record.extrapolations == extrapolations
         assert abs(record.overlap - overlap) <= 1e-12
         assert record.stop_reason == reason
     history = reference[_chosen_start(form.restarts)][2]
@@ -325,7 +381,7 @@ def test_lockstep_matches_sequential_restarts(label, s, seed):
     assert abs(lead - math.sqrt(form.overlap)) <= 1e-13
     # Each party step takes the exact maximizer with the others fixed, so the
     # overlap, and with it every later contraction norm, can only rise.
-    for _, _, _, norms, _ in reference:
+    for _, _, _, norms, _, _ in reference:
         assert norms[0] >= DEGENERACY_TOL
         assert all(b >= a * (1.0 - 1e-14) for a, b in zip(norms, norms[1:]))
 

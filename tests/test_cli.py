@@ -201,7 +201,8 @@ def test_canonicalize_reports_restarts_under_manifest_stats(tmp_path, capsys):
                             "sweeps", "manifest"}
     records = payload["manifest"]["stats"]["restarts"]
     assert [r["restart"] for r in records] == [0, 1, 2, 3, 4]
-    assert set(records[0]) == {"restart", "sweeps", "reseeds", "overlap", "stop_reason"}
+    assert set(records[0]) == {"restart", "sweeps", "reseeds", "extrapolations", "overlap",
+                               "stop_reason"}
     # the computational start of |M4> vanishes and is replaced once, up front
     assert records[0]["reseeds"] == 1
     assert {r["stop_reason"] for r in records} == {"settled"}

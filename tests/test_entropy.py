@@ -63,6 +63,15 @@ def test_eigenvalue_entropy_edge_cases():
         eigenvalue_entropy([1.1, -0.1])
 
 
+def test_an_eigenvalue_rounded_above_one_gives_entropy_plus_zero():
+    # -p log2 p of p = 1 + 4.44e-16 alone is -6.4e-16; every other entropy keeps its bits.
+    lam = np.array([[1.0 + 4.44e-16, 0.0], [0.5, 0.5], [0.75, 0.25], [0.9, 0.1]])
+    got = eigenvalue_entropy(lam)
+    assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
+    assert np.array_equal(got[1:], 0.0 - (lam[1:] * np.log2(lam[1:])).sum(axis=-1))
+    assert eigenvalue_entropy([1.0 + 4.44e-16, 0.0]) == 0.0
+
+
 def test_a_pure_spectrum_has_entropy_plus_zero():
     assert math.copysign(1.0, eigenvalue_entropy([1.0, 0.0])) == 1.0
     assert math.copysign(1.0, eigenvalue_entropy([[0.0, 1.0], [0.5, 0.5]])[0]) == 1.0

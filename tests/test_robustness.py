@@ -317,6 +317,24 @@ def test_report_means_lie_within_their_min_and_max(name):
         assert stats["min"] <= stats["mean"] <= stats["max"]
 
 
+def _reported_entropies(report):
+    """Every entropy a report prints: outcome entropies and the min, max and mean rows."""
+    entries = report["per_party"].values()
+    rows = [stats for e in entries for stats in e["random"]["pairs"].values()] + [report["overall"]]
+    outcomes = [o for e in entries for name in ("computational", "plusminus") if name in e
+                for o in e[name]["outcomes"]]
+    return ([v for o in outcomes for v in o["entropies"].values() if v is not None]
+            + [stats[k] for stats in rows for k in ("min", "max", "mean") if stats[k] is not None])
+
+
+@pytest.mark.parametrize("name", [n for n in ORACLE_STATES if n.startswith("product")])
+def test_every_reported_entropy_of_a_product_state_is_nonnegative(name):
+    # Product residuals have pure spectra, whose top eigenvalue can round just above 1.
+    values = _reported_entropies(robustness_report(ORACLE_STATES[name](), trials=3, seed=0))
+    assert len(values) > 40
+    assert min(values) >= 0.0
+
+
 # ------------------------------------------------------------ equivariance overlap
 
 
