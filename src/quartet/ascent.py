@@ -1,5 +1,5 @@
-"""Average pair-entropy objective, its analytic gradient, and seeded multi-start
-Riemannian L-BFGS ascent on the unit sphere of four-qubit states.
+"""Average pair-entropy objective of four qubits, its analytic gradient, and seeded multi-start
+Riemannian L-BFGS ascent on the unit sphere, also run by ``ame`` on ``(d,)*4`` and ``(d, d)``.
 
 The objective extends off the sphere as the mean over the six pairs of
 -tr(rho log2 rho) with rho the raw (unrenormalized) pair reduction.  Its

@@ -93,37 +93,40 @@ class RestartRecord:
     stop_reason: str
 
 
-def _alternate(t: np.ndarray, starts, reseeds):
+def _alternate(t: np.ndarray, vectors: np.ndarray, reseeds):
     """Run alternating maximization from R product starts in lockstep.
 
-    ``starts[q]`` stacks party q's start vectors as ``(R, d_q)``; ``reseeds[r]``
-    goes into row r's record.  Every row starts at sweep 1, and stops once a
-    sweep after the first moves no contraction off its current axis by more
-    than ``SWEEP_RESIDUAL_TOL`` or at ``MAX_SWEEPS``.  That drift bounds the
-    single-excitation coefficients of the final form, so stopping on it
-    (rather than on the overlap increment, which saturates at float resolution
-    long before the vectors settle) is what keeps ``zero_residual`` small.
+    ``vectors`` holds every start's party vectors side by side as one ``(R, sum(d))``
+    block, party q's entries starting at offset sum(d_p for p < q), and is swept
+    in place; ``reseeds[r]`` goes into row r's record.  Every row starts at sweep
+    1, and stops once a sweep after the first moves no contraction off its
+    current axis by more than ``SWEEP_RESIDUAL_TOL`` or at ``MAX_SWEEPS``.  That
+    drift bounds the single-excitation coefficients of the final form, so
+    stopping on it (rather than on the overlap increment, which saturates at
+    float resolution long before the vectors settle) is what keeps
+    ``zero_residual`` small.
 
     A party step is one matmul of the row-wise outer product of the other
     parties' conjugated vectors against the state held as a ``(D/d_p, d_p)``
-    matrix; the drift of every party is taken once per sweep.  A row that has
-    not stopped then tries the extrapolation step of the module docstring, with
+    matrix; it writes the normalized contraction into its party's slice of the
+    block and the raw one into a block of the same shape.  A copy of the block
+    taken at the start of the sweep, and its conjugate, give the parties after
+    p, the drift of every party (taken once per sweep) and the extrapolation
+    step of the module docstring, which a row that has not stopped tries with
     r = sqrt(drift2_k / drift2_{k-1}); the moved overlap is one last-party
     contraction, the matmul shape of a party step.  Every row sweeps until the
     last one stops; a row's vectors and record are taken in the sweep where it
-    stops, and its history is the first ``sweeps`` entries of its column of the
-    per-sweep overlap trace.
-    Returns ``(vectors, histories, records)``, ``vectors[r]`` holding row r's
-    final vector of each party.
+    stops.
+    Returns ``(final, trace, records)``: the ``(R, sum(d))`` block of final
+    vectors and the ``(sweeps, R)`` per-sweep overlaps.
     """
     n = t.ndim
     rows = len(reseeds)
     offsets = np.cumsum((0,) + t.shape[:-1])
     parts = [slice(a, a + d) for a, d in zip(offsets.tolist(), t.shape)]
     fronts = [np.moveaxis(t, p, -1).reshape(-1, d) for p, d in enumerate(t.shape)]
-    vectors = list(starts)
-    conj = [v.conj() for v in vectors]
-    final = [None] * rows
+    contracted = np.empty_like(vectors)
+    final = np.empty_like(vectors)
     records = [None] * rows
     active = np.ones(rows, dtype=bool)
     trace = []
@@ -132,29 +135,25 @@ def _alternate(t: np.ndarray, starts, reseeds):
     extrapolations = np.zeros(rows, dtype=int)
     sweep = 0
     while active.any():
-        prior = vectors[:]
+        replaced = vectors.copy()
+        replaced_conj = replaced.conj()
         # after[p] multiplies out the last sweep's conjugated vectors of the
         # parties after p; a one-party state contracts against a column of ones.
         after = [None] * (n - 1) + [None if n > 1 else np.ones((rows, 1))]
         for p in range(n - 1, 0, -1):
-            after[p - 1] = _outer(conj[p], after[p])
+            after[p - 1] = _outer(replaced_conj[:, parts[p]], after[p])
         before = None  # the same for this sweep's vectors of the parties before p
-        contractions = []
-        for p in range(n):
+        for p, part in enumerate(parts):
             v = _outer(before, after[p]) @ fronts[p]
             x = v.view(float)
             overlap = (x * x).sum(axis=1)  # after the last party, the sweep's overlap
-            vectors[p] = v / np.maximum(np.sqrt(overlap), DEGENERACY_TOL)[:, None]
-            conj[p] = vectors[p].conj()
+            contracted[:, part] = v
+            vectors[:, part] = v / np.maximum(np.sqrt(overlap), DEGENERACY_TOL)[:, None]
             if p < n - 1:
-                before = _outer(before, conj[p])
-            contractions.append(v)
+                before = _outer(before, vectors[:, part].conj())
         # Component of each party's contraction orthogonal to the vector the
-        # sweep replaced; zero exactly at a fixed point.  All parties sit side
-        # by side along axis 1, party q's entries starting at offsets[q].
-        contracted = np.concatenate(contractions, axis=1)
-        replaced = np.concatenate(prior, axis=1)
-        axial = np.add.reduceat(replaced.conj() * contracted, offsets, axis=1)
+        # sweep replaced; zero exactly at a fixed point.
+        axial = np.add.reduceat(replaced_conj * contracted, offsets, axis=1)
         x = (contracted - np.repeat(axial, t.shape, axis=1) * replaced).view(float)
         drift2 = np.add.reduceat(x * x, 2 * offsets, axis=1).max(axis=1)
         sweep += 1
@@ -164,7 +163,7 @@ def _alternate(t: np.ndarray, starts, reseeds):
             reason = "settled" if settled[r] else "max_sweeps"
             records[r] = RestartRecord(r, sweep, reseeds[r], int(extrapolations[r]),
                                        float(overlap[r]), reason)
-            final[r] = [v[r] for v in vectors]
+            final[r] = vectors[r]
             active[r] = False
         # The ratio of the first sweep that may extrapolate needs its own
         # predecessor, so ratios start one sweep earlier; last_ratio is 0 until
@@ -180,8 +179,7 @@ def _alternate(t: np.ndarray, starts, reseeds):
         if not stable.any():
             continue
         trusted = np.where(stable, ratio, 0.0)  # rows that do not try the step stay put
-        new = np.concatenate(vectors, axis=1)
-        moved = new + (trusted / (1.0 - trusted))[:, None] * (new - replaced)
+        moved = vectors + (trusted / (1.0 - trusted))[:, None] * (vectors - replaced)
         x = moved.view(float)
         moved /= np.repeat(np.sqrt(np.add.reduceat(x * x, 2 * offsets, axis=1)), t.shape, axis=1)
         moved_conj = moved.conj()
@@ -191,15 +189,9 @@ def _alternate(t: np.ndarray, starts, reseeds):
         c = ((before @ fronts[-1]) * moved_conj[:, parts[-1]]).sum(axis=1)
         x = c.view(float).reshape(rows, 2)
         better = stable & ((x * x).sum(axis=1) > overlap * (1.0 - EXTRAPOLATE_TIE))
-        if better.any():
-            extrapolations += better
-            new = np.where(better[:, None], moved, new)
-            new_conj = new.conj()
-            vectors = [new[:, part] for part in parts]
-            conj = [new_conj[:, part] for part in parts]
-    trace = np.array(trace)
-    histories = [trace[:rec.sweeps, r].tolist() for r, rec in enumerate(records)]
-    return final, histories, records
+        extrapolations += better
+        np.copyto(vectors, moved, where=better[:, None])
+    return final, np.array(trace), records
 
 
 @dataclass(frozen=True)
@@ -253,15 +245,16 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
     products = [] if reseeded else [[np.eye(d, dtype=complex)[0] for d in dims]]
     products += [_random_product(dims, np.random.default_rng([seed, r]))
                  for r in range(1 - reseeded, restarts + 1)]
-    starts = [np.array(column) for column in zip(*products)]
-    vectors, histories, records = _alternate(t, starts, [reseeded] + [0] * restarts)
+    final, trace, records = _alternate(t, np.array([np.concatenate(v) for v in products]),
+                                       [reseeded] + [0] * restarts)
 
     best = 0
     for r in range(1, restarts + 1):
         if records[r].overlap > records[best].overlap + TIE_TOL:
             best = r
-    overlap, history = records[best].overlap, histories[best]
-    unitaries = [unitary_from_first_column(v).conj().T for v in vectors[best]]
+    overlap, history = records[best].overlap, trace[:records[best].sweeps, best].tolist()
+    vectors = np.split(final[best], np.cumsum(dims[:-1]))
+    unitaries = [unitary_from_first_column(v).conj().T for v in vectors]
     out = t
     for p, u in enumerate(unitaries):
         out = apply_kept_operator(out, u, (p,))

@@ -7,6 +7,7 @@ two-qubit and one-qubit vectors, and a four-level four-party tensor whose pair
 reductions are all maximally mixed.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -69,16 +70,10 @@ def _residual(excited: int) -> PureState:
 
 
 def _ame44() -> PureState:
-    # 1/4 on i=j=k=l and on even permutations of the four levels, zero elsewhere.
-    amps = np.zeros(4**4, dtype=complex)
-    t = amps.reshape(4, 4, 4, 4)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                for l in range(4):
-                    if i == j == k == l or even_permutation((i + 1, j + 1, k + 1, l + 1)):
-                        t[i, j, k, l] = 0.25
-    return PureState((4, 4, 4, 4), amps)
+    # 1/4 on i=j=k=l and on the 12 even permutations of the four levels.
+    terms = [(i,) * 4 for i in range(4)]
+    terms += [p for p in itertools.permutations(range(4)) if even_permutation(q + 1 for q in p)]
+    return from_terms((4, 4, 4, 4), dict.fromkeys(terms, 0.25))
 
 
 def _pair(sign: float) -> PureState:

@@ -229,6 +229,11 @@ def state_to_json(s: PureState) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _is_real_type(kind: type) -> bool:  # float() would also take a bool or a numeric string
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
 def state_from_json(obj) -> PureState:
     """Parse the JSON state form, rejecting malformed or mismatched payloads."""
     if not isinstance(obj, dict):
@@ -237,7 +242,7 @@ def state_from_json(obj) -> PureState:
         raise DomainError('state payload needs "dims" and "amps" keys')
     dims = obj["dims"]
     amps = obj["amps"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):  # a bool is no dim
         raise DomainError('"dims" must be a list of integers')
     if not isinstance(amps, list):
         raise DomainError('"amps" must be a list of [re, im] pairs')
@@ -252,8 +257,10 @@ def state_from_json(obj) -> PureState:
     for i, pair in enumerate(amps):
         if not isinstance(pair, list) or len(pair) != 2:
             raise DomainError(f'"amps"[{i}] is not an [re, im] pair')
+        if not (_is_real_type(type(pair[0])) and _is_real_type(type(pair[1]))):
+            raise DomainError(f'"amps"[{i}] is not numeric')
         try:
             flat[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise DomainError(f'"amps"[{i}] is not numeric') from exc
     return PureState(tuple(dims), flat)

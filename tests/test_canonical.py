@@ -199,6 +199,28 @@ def test_canonical_overlaps_match_derived_values(seed):
         assert abs(canonicalize(make(name), seed=seed).overlap - value) <= 1e-12
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4), (3, 5), (5, 2)])
+def test_two_party_overlap_is_the_largest_squared_singular_value(dims):
+    # A two-party state is its d1 x d2 amplitude matrix M, and |a^H M b|^2 over unit
+    # vectors a, b peaks at sigma_max(M)^2 (Eckart-Young).
+    for k in range(20):
+        s = random_state(dims, np.random.default_rng([68, k]))
+        form = canonicalize(s, seed=k)
+        sigma = np.linalg.svd(s.tensor(), compute_uv=False)[0]
+        assert abs(form.overlap - sigma**2) <= 1e-12
+        assert {r.stop_reason for r in form.restarts} == {"settled"}
+
+
+def test_one_party_state_rotates_onto_zero():
+    # A one-party state is a product state: the form is |0> with overlap 1.
+    states = [random_state((d,), np.random.default_rng([69, d])) for d in (2, 3, 5)]
+    for s in states + [make("PLUS"), make("MINUS")]:
+        form = canonicalize(s, seed=0)
+        assert abs(form.overlap - 1.0) <= 1e-12
+        assert form.zero_residual < 1e-12
+        assert abs(form.state.amps[0] - 1.0) <= 1e-12
+
+
 def test_restart_records_count_accepted_extrapolations():
     s = random_state((4, 4, 4, 4), np.random.default_rng(66))
     assert max(r.extrapolations for r in canonicalize(s, seed=0).restarts) > 0

@@ -268,10 +268,29 @@ def test_state_json_ignores_unknown_keys():
         {"dims": [2, 2], "amps": [[0, 0]] * 3},
         {"dims": [2, 2], "amps": [[0, 0], [0, 0], [0, 0], [0]]},
         {"dims": [2, 2], "amps": [[0, 0], [0, 0], [0, 0], ["x", 0]]},
+        # float() takes a numeric string or a bool, but neither is a JSON number.
+        {"dims": [2], "amps": [["1", "0"], [0, 0]]},
+        {"dims": [2], "amps": [[True, False], [0, 0]]},
+        {"dims": [2], "amps": [[1, 0], [0, False]]},
+        {"dims": [True, 2], "amps": [[1, 0], [0, 0]]},
     ],
 )
 def test_state_json_rejects_malformed(payload):
     with pytest.raises(DomainError):
+        state_from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"dims": [2], "amps": [["1", "0"], [0, 0]]}, r'"amps"\[0\] is not numeric'),
+        ({"dims": [2], "amps": [[1, 0], [0, False]]}, r'"amps"\[1\] is not numeric'),
+        ({"dims": [True, 2], "amps": [[1, 0], [0, 0]]}, '"dims" must be a list of integers'),
+    ],
+    ids=["string", "bool", "bool-dim"],
+)
+def test_state_json_names_what_is_malformed(payload, message):
+    with pytest.raises(DomainError, match=message):
         state_from_json(payload)
 
 
