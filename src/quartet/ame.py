@@ -1,9 +1,11 @@
-"""Distance of every pair reduction of a four-party state from maximal mixing.
+"""Distance of the cut reductions of a state of two or four parties of one local
+dimension d from maximal mixing.
 
 For a cut such as AC|BD the state tensor t[i,j,k,l] becomes the matrix
 M[(i,k), (j,l)]; M M^dagger equals the reduction onto the row pair, so the
 per-cut deviation ||d^2 M M^dagger - I||_F^2 vanishes exactly when that pair is
-maximally mixed.  Three cuts cover all six pairs of a four-party pure state.
+maximally mixed.  Three cuts cover all six pairs of a four-party pure state, and
+the one cut A_B, with d M M^dagger - I, covers a two-party one.
 """
 
 import functools
@@ -20,18 +22,10 @@ CUTS = ("AB_CD", "AC_BD", "AD_BC")
 _CUTS_BY_PARTIES = {2: (("A_B",), ((0,),)), 4: (CUTS, FOUR_PARTY_CUT_ROWS)}
 
 
-def _check_equal_dims(dims, n_parties=None):
-    dims = tuple(dims)
-    if n_parties is not None and len(dims) != n_parties:
-        raise DomainError(f"expected {n_parties} parties, got {len(dims)}")
-    if len(set(dims)) != 1 or dims[0] < 2:
-        raise DomainError(f"equal local dimensions of at least 2 required, got {dims}")
-    return dims
-
-
 def _cuts(dims) -> tuple:
-    if len(dims) not in _CUTS_BY_PARTIES:
-        raise DomainError("deviation minimization supports two or four parties")
+    """Cut labels and row parties of ``dims``: two or four parties of one local dimension >= 2."""
+    if len(dims) not in _CUTS_BY_PARTIES or len(set(dims)) != 1 or dims[0] < 2:
+        raise DomainError(f"two or four parties of one local dimension >= 2 required, got {dims}")
     return _CUTS_BY_PARTIES[len(dims)]
 
 
@@ -71,8 +65,8 @@ class AmeDeviation:
 
 
 def ame_deviation(s: PureState) -> AmeDeviation:
-    """Per-cut and total distance of a normalized state's pair reductions from maximal mixing."""
-    _check_equal_dims(s.dims, 4)
+    """Per-cut and total distance of a normalized state's cut reductions from maximal mixing."""
+    _cuts(s.dims)
     check_normalized(s.amps)
     per_cut = _per_cut(s.amps, s.dims)
     return AmeDeviation(per_cut, math.fsum(per_cut.values()))
@@ -118,7 +112,7 @@ def minimize_deviation(dims, restarts: int = 50, seed: int = 0, max_iters: int =
     is prepended.  Returns the lowest total found (first restart wins ties);
     ``restarts`` holds one ``ascent.RestartRecord`` per start.
     """
-    dims = _check_equal_dims(dims)
+    dims = tuple(dims)
     _cuts(dims)
     records, finals, best = multistart(
         deviation_value_and_gradient_raw, dims, restarts=restarts, seed=seed, max_iters=max_iters,

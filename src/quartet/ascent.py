@@ -10,7 +10,7 @@ and retracts by renormalization.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,9 +80,22 @@ def stationarity_report(s: PureState) -> dict:
     }
 
 
-@dataclass
-class AscentOutcome:
-    amps: np.ndarray
+@dataclass(frozen=True)
+class RestartRecord:
+    """What one start of a multi-start search did.
+
+    ``ascend`` numbers its record 0 and gives ``value`` in the ascent's sign;
+    ``multistart`` renumbers it and gives ``value`` the objective's own sign.
+    ``stop_reason`` names the exit: ``converged`` (tangent gradient norm below
+    ``grad_tol``, at whichever exit), ``line_search_failed`` (no step above
+    ``MIN_STEP`` is acceptable) or ``max_iters``.  ``evaluations`` counts the
+    objective calls: the start and one per line-search trial, so
+    ``evaluations - iterations - 1`` trials were rejected.  ``skipped_pairs``
+    counts the curvature pairs left out for Re<s, y> <= 0, and ``memory_resets``
+    the directions that did not ascend.
+    """
+
+    restart: int
     value: float
     grad_norm: float
     iterations: int
@@ -157,7 +170,7 @@ def _lbfgs_direction(grad, pairs: _CurvaturePairs):
     return pairs.gamma * q + coeffs.dot(steps)
 
 
-def ascend(value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOutcome:
+def ascend(value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> tuple:
     """Riemannian L-BFGS ascent on the unit sphere with a backtracking line search.
 
     The direction comes from the last ``MEMORY`` curvature pairs, each a step
@@ -183,13 +196,7 @@ def ascend(value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOu
     amplitudes, where the real inner product is Re<a, b>; ``value_grad_fn``
     returns its gradient as a flat complex array, read through such a view.
 
-    ``stop_reason`` names the exit: ``converged`` (tangent gradient norm below
-    ``grad_tol``, at whichever exit), ``line_search_failed`` (no step above
-    ``MIN_STEP`` is acceptable) or ``max_iters``.  ``evaluations`` counts the
-    ``value_grad_fn`` calls: the start and one per trial, so
-    ``evaluations - iterations - 1`` trials were rejected.  ``skipped_pairs``
-    counts the pairs left out for Re<s, y> <= 0, and ``memory_resets`` the
-    directions that did not ascend.
+    Returns the final amplitudes and a ``RestartRecord``, which explains the counters.
     """
     x = np.asarray(amps0, dtype=complex).reshape(-1)
     x = (x / np.linalg.norm(x)).view(float)
@@ -202,9 +209,9 @@ def ascend(value_grad_fn, amps0, *, grad_tol=1e-8, max_iters=10_000) -> AscentOu
 
     def stopped(iterations, reason):
         converged = gnorm < grad_tol
-        return AscentOutcome(x.view(complex), value, gnorm, iterations, converged,
-                             "converged" if converged else reason, evaluations, skipped_pairs,
-                             memory_resets)
+        return x.view(complex), RestartRecord(0, value, gnorm, iterations, converged,
+                                              "converged" if converged else reason, evaluations,
+                                              skipped_pairs, memory_resets)
 
     for iteration in range(max_iters):
         if gnorm < grad_tol:
@@ -259,26 +266,6 @@ def haar_starts(dims, restarts: int, seed: int, start: PureState = None):
         yield random_state(dims, np.random.default_rng([seed, r])).amps
 
 
-@dataclass(frozen=True)
-class RestartRecord:
-    """What one start of a multi-start search did; ``value`` has the objective's own sign.
-
-    ``evaluations`` counts objective calls: the start and one per line-search
-    trial, so ``evaluations - iterations - 1`` trials were rejected.
-    ``skipped_pairs`` and ``memory_resets`` are ``ascend``'s counts.
-    """
-
-    restart: int
-    value: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-    stop_reason: str
-    evaluations: int
-    skipped_pairs: int
-    memory_resets: int
-
-
 def multistart(value_grad_fn, dims, *, restarts: int, seed: int, max_iters: int,
                grad_tol: float, start: PureState = None, minimize: bool = False) -> tuple:
     """Run ``ascend`` from an optional explicit ``start`` and ``restarts`` Haar starts.
@@ -309,14 +296,11 @@ def multistart(value_grad_fn, dims, *, restarts: int, seed: int, max_iters: int,
         v, g = value_grad_fn(amps, dims)
         return (-v, np.negative(g, out=g)) if minimize else (v, g)
 
-    outcomes = [ascend(value_grad, amps0, grad_tol=grad_tol, max_iters=max_iters)
-                for amps0 in haar_starts(dims, restarts, seed, start)]
-    best = max(range(len(outcomes)), key=lambda i: (outcomes[i].value, -i))
-    records = [RestartRecord(r, -o.value if minimize else o.value, o.grad_norm, o.iterations,
-                             o.converged, o.stop_reason, o.evaluations, o.skipped_pairs,
-                             o.memory_resets)
-               for r, o in enumerate(outcomes)]
-    return records, [o.amps for o in outcomes], best
+    finals, records = zip(*(ascend(value_grad, amps0, grad_tol=grad_tol, max_iters=max_iters)
+                            for amps0 in haar_starts(dims, restarts, seed, start)))
+    best = max(range(len(records)), key=lambda i: (records[i].value, -i))
+    return [replace(rec, restart=r, value=-rec.value if minimize else rec.value)
+            for r, rec in enumerate(records)], finals, best
 
 
 @dataclass(frozen=True)

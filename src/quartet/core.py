@@ -192,9 +192,14 @@ def unitary_from_first_column(v) -> np.ndarray:
     where h is the first entry of v / |v| and w = v / |v| + (h / |h|) e_0 (e_0 where h = 0);
     that sign leaves no cancellation, and e_0 completes to the identity.  A stack
     ``(..., d)`` gives the stack ``(..., d, d)``, each bitwise its own single call.
+    A row whose norm is zero or not finite has no unitary and raises ``DomainError``.
     """
     v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    if not 0 < norm.min() < math.inf:
+        raise DomainError("a first column needs a finite nonzero norm")
+    v = v / norm
     mag = np.abs(v[..., :1])
     w = v.copy()
     w[..., :1] += np.where(mag > 0, v[..., :1], 1) / np.where(mag > 0, mag, 1)
@@ -246,10 +251,10 @@ def state_from_json(obj) -> PureState:
         raise DomainError('"dims" must be a list of integers')
     if not isinstance(amps, list):
         raise DomainError('"amps" must be a list of [re, im] pairs')
-    if not dims or any(d < 2 for d in dims):
+    if not 1 <= len(dims) <= MAX_PARTIES:
+        raise DomainError(f"a state has 1 to {MAX_PARTIES} parties, got {len(dims)}")
+    if any(d < 2 for d in dims):
         raise DomainError('"dims" entries must all be >= 2')
-    if len(dims) > MAX_PARTIES:
-        raise DomainError(f"at most {MAX_PARTIES} parties are supported")
     # Parseable dims can multiply past Python's integer-to-text limit: never print the product.
     if len(amps) != math.prod(dims):
         raise DomainError(f'"amps" has {len(amps)} entries, not the product of the dims')

@@ -140,6 +140,24 @@ def test_deviation_rejects_unequal_dims():
         ame.ame_deviation(random_state((2, 2, 2, 3), np.random.default_rng(0)))
 
 
+def test_two_party_deviation_matches_derived_values():
+    # The one cut A_B has M the d x d amplitude matrix and deviation ||d M M^dagger - I||_F^2.
+    bell = ame.ame_deviation(catalog.make("PHI_PLUS"))
+    assert list(bell.per_cut) == ["A_B"]
+    assert bell.total < 1e-24
+    # |00>: d M M^dagger - I = diag(1, -1).
+    assert ame.ame_deviation(from_terms((2, 2), {(0, 0): 1.0})).total == 2.0
+    for theta in np.linspace(0.0, math.pi / 2, 13):
+        # d M M^dagger - I = diag(cos 2 theta, -cos 2 theta).
+        s = from_terms((2, 2), {(0, 0): math.cos(theta), (1, 1): math.sin(theta)})
+        assert abs(ame.ame_deviation(s).total - 2 * math.cos(2 * theta) ** 2) <= 1e-14
+    qutrits = from_terms((3, 3), {(i, i): 1 / math.sqrt(3) for i in range(3)})
+    assert ame.ame_deviation(qutrits).total < 1e-24
+    for dims in ((2, 2, 2), (2, 3)):
+        with pytest.raises(DomainError):
+            ame.ame_deviation(random_state(dims, np.random.default_rng(0)))
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(16)
     h = 1e-6

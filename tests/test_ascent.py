@@ -102,7 +102,7 @@ def test_cat_state_is_also_stationary():
     # cannot leave it, which is why the search relies on random starts
     report = stationarity_report(make("C4"))
     assert report["tangent_grad_norm"] < 1e-8
-    outcome = ascend(value_grad, make("C4").amps, max_iters=50)
+    _, outcome = ascend(value_grad, make("C4").amps, max_iters=50)
     assert outcome.value == pytest.approx(1.0, abs=1e-10)
     assert outcome.converged
 
@@ -116,9 +116,10 @@ def test_stationarity_requires_normalized_four_qubits():
 
 def test_ascent_accepted_values_monotone():
     s = random_state(DIMS, np.random.default_rng(63))
-    outcome = ascend(value_grad, s.amps, max_iters=400)
+    _, outcome = ascend(value_grad, s.amps, max_iters=400)
     # Capping an ascent at k iterations returns its k-th accepted point.
-    seen = [ascend(value_grad, s.amps, max_iters=k).value for k in range(outcome.iterations + 1)]
+    seen = [ascend(value_grad, s.amps, max_iters=k)[1].value
+            for k in range(outcome.iterations + 1)]
     assert len(seen) >= 2
     for a, b in zip(seen, seen[1:]):
         assert b - a >= -1e-12
@@ -129,7 +130,7 @@ def test_ascend_from_near_optimum_converges():
     rng = np.random.default_rng(64)
     noise = 1e-3 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
     start = make("M4").amps + noise
-    outcome = ascend(value_grad, start)
+    _, outcome = ascend(value_grad, start)
     assert outcome.value == pytest.approx(TARGET, abs=1e-9)
 
 

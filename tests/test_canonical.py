@@ -49,6 +49,13 @@ def test_unitary_from_first_column_properties():
         assert np.array_equal(unitary_from_first_column(eye[0]), eye)
 
 
+@pytest.mark.parametrize("v", [[0, 0], [np.inf, 0], [np.nan, 1], [[1, 0], [0, 0]]],
+                         ids=["zero", "infinite", "nan", "stack-with-a-zero-row"])
+def test_unitary_from_first_column_rejects_a_column_without_a_finite_nonzero_norm(v):
+    with pytest.raises(DomainError, match="finite nonzero norm"):
+        unitary_from_first_column(v)
+
+
 def test_unitary_completion_of_a_stack_is_bitwise_row_by_row():
     rng = np.random.default_rng(2)
     for d in (2, 3, 4):

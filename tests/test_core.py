@@ -286,8 +286,10 @@ def test_state_json_rejects_malformed(payload):
         ({"dims": [2], "amps": [["1", "0"], [0, 0]]}, r'"amps"\[0\] is not numeric'),
         ({"dims": [2], "amps": [[1, 0], [0, False]]}, r'"amps"\[1\] is not numeric'),
         ({"dims": [True, 2], "amps": [[1, 0], [0, 0]]}, '"dims" must be a list of integers'),
+        ({"dims": [], "amps": []}, "a state has 1 to 8 parties, got 0"),
+        ({"dims": [2] * 9, "amps": []}, "a state has 1 to 8 parties, got 9"),
     ],
-    ids=["string", "bool", "bool-dim"],
+    ids=["string", "bool", "bool-dim", "no-parties", "nine-parties"],
 )
 def test_state_json_names_what_is_malformed(payload, message):
     with pytest.raises(DomainError, match=message):

@@ -11,7 +11,6 @@ import pytest
 from quartet import ascent
 from quartet.ame import deviation_value_and_gradient_raw, deviation_value_raw, minimize_deviation
 from quartet.ascent import (
-    AscentOutcome,
     RestartRecord,
     ascend,
     haar_starts,
@@ -46,8 +45,9 @@ def _sequential_starts(n_amps, restarts, seed):
 def _sequential_maximize(seed, restarts, max_iters):
     records, states = [], []
     for r, amps0 in enumerate(_sequential_starts(16, restarts, seed)):
-        outcome = ascend(lambda a: value_and_gradient_raw(a, DIMS), amps0, max_iters=max_iters)
-        state = PureState(DIMS, outcome.amps)
+        amps, outcome = ascend(lambda a: value_and_gradient_raw(a, DIMS), amps0,
+                               max_iters=max_iters)
+        state = PureState(DIMS, amps)
         residual = max(abs(v - M4_PAIR_ENTROPY) for v in pair_entropies(state).values())
         records.append((r, outcome.value, outcome.grad_norm, outcome.iterations,
                         outcome.converged, residual))
@@ -63,12 +63,12 @@ def _sequential_minimize(dims, restarts, seed, max_iters):
 
     records, best = [], None
     for r, amps0 in enumerate(_sequential_starts(math.prod(dims), restarts, seed)):
-        outcome = ascend(value_grad_fn, amps0, max_iters=max_iters)
+        amps, outcome = ascend(value_grad_fn, amps0, max_iters=max_iters)
         value = -outcome.value
         records.append((r, value, outcome.grad_norm, outcome.iterations, outcome.converged))
         if best is None or value < best[0]:
-            best = (value, outcome)
-    return records, best[1]
+            best = (value, amps, outcome)
+    return records, best[1], best[2]
 
 
 def _fields(record):
@@ -96,12 +96,12 @@ def test_maximize_matches_the_sequential_loop_bitwise(seed):
 ], ids=["qubit-pair", "four-qubits-capped", "four-qubits"])
 def test_minimize_deviation_matches_the_sequential_loop_bitwise(dims, restarts, seed, max_iters):
     report = minimize_deviation(dims, restarts=restarts, seed=seed, max_iters=max_iters)
-    records, best = _sequential_minimize(dims, restarts, seed, max_iters)
+    records, best_amps, best = _sequential_minimize(dims, restarts, seed, max_iters)
     assert repr([_fields(r) for r in report.restarts]) == repr(records)
     assert report.floor == -best.value
     assert (report.grad_norm, report.iterations, report.converged) == (
         best.grad_norm, best.iterations, best.converged)
-    assert report.state.amps.tobytes() == best.amps.tobytes()
+    assert report.state.amps.tobytes() == best_amps.tobytes()
 
 
 def test_both_searches_share_one_record_type():
@@ -157,12 +157,12 @@ def test_stop_reason_follows_the_final_gradient_at_every_exit():
     # ties and keeps its slope, so the run takes steps until max_iters unless
     # the tolerance already counts it converged.
     start = make("C4").amps
-    flat = ascend(_flat(1e-9), start, grad_tol=1e-12, max_iters=20)
+    _, flat = ascend(_flat(1e-9), start, grad_tol=1e-12, max_iters=20)
     assert (flat.stop_reason, flat.converged, flat.iterations, flat.evaluations) == (
         "max_iters", False, 20, 21)
-    settled = ascend(_flat(1e-9), start, grad_tol=1e-6, max_iters=20)
+    _, settled = ascend(_flat(1e-9), start, grad_tol=1e-6, max_iters=20)
     assert (settled.stop_reason, settled.converged, settled.iterations) == ("converged", True, 0)
-    refused = ascend(_falling(1e-9), start, grad_tol=1e-12)
+    _, refused = ascend(_falling(1e-9), start, grad_tol=1e-12)
     assert (refused.stop_reason, refused.converged) == ("line_search_failed", False)
 
 
@@ -176,7 +176,7 @@ def test_starts_are_drawn_when_their_restart_runs(monkeypatch):
 
     def recording_ascend(value_grad_fn, amps0, **kwargs):
         drawn_before_each_descent.append(len(draws))
-        return AscentOutcome(np.asarray(amps0), 0.0, 0.0, 0, True, "converged", 1, 0, 0)
+        return np.asarray(amps0), RestartRecord(0, 0.0, 0.0, 0, True, "converged", 1, 0, 0)
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     first = next(haar_starts(DIMS, 10**12, 7))
@@ -292,7 +292,7 @@ def test_every_iteration_stores_or_skips_one_curvature_pair(monkeypatch):
 def test_a_direction_that_does_not_ascend_clears_the_memory(monkeypatch):
     monkeypatch.setattr(ascent, "_lbfgs_direction", lambda grad, pairs: -grad)
     start = next(haar_starts(DIMS, 1, 0))
-    outcome = ascend(lambda a: value_and_gradient_raw(a, DIMS), start, max_iters=10)
+    _, outcome = ascend(lambda a: value_and_gradient_raw(a, DIMS), start, max_iters=10)
     # Every iteration after the first finds the pair of the one before and clears it.
     assert (outcome.iterations, outcome.skipped_pairs, outcome.memory_resets) == (10, 0, 9)
 
@@ -348,7 +348,7 @@ def test_a_tied_trial_is_judged_by_its_slope(fall_ulps, reversal, reason, evalua
             return 1.0, 1e-6j * amps
         return 1.0 - fall_ulps * math.ulp(1.0), reversal * 1e-6j * amps
 
-    outcome = ascend(value_grad, make("C4").amps, max_iters=1)
+    _, outcome = ascend(value_grad, make("C4").amps, max_iters=1)
     assert outcome.stop_reason == reason
     assert outcome.evaluations == len(calls) == evaluations
     # A refused search rejects each of its 40 trials, from step 1 down to MIN_STEP.

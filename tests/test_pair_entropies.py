@@ -42,6 +42,11 @@ def test_pair_entropies_match_partial_trace_route(s, scale):
         pair_entropies(PureState(s.dims, scale * s.amps))
 
 
+def test_pair_entropies_need_three_parties():
+    with pytest.raises(DomainError, match="at least three parties"):
+        pair_entropies(catalog.make("PHI_PLUS"))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(4, 5).flatmap(lambda n: st.lists(st.integers(2, 4), min_size=n, max_size=n)
                                  .filter(lambda ds: math.prod(ds) <= MAX_AMPS)),
