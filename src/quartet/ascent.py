@@ -274,10 +274,10 @@ def multistart(value_grad_fn, dims, *, restarts: int, seed: int, max_iters: int,
     gradient as a fresh flat complex array, both negated for the ascent if
     ``minimize``, the gradient in place.  Every local dimension
     must be an integer of at least 2, ``restarts`` may be 0 only with a
-    ``start``, ``grad_tol`` must be positive and finite, and a state may have
-    at most ``MAX_AMPLITUDES`` amplitudes; all are checked before any start is
-    drawn.  Returns one ``RestartRecord`` and one final amplitude vector per start,
-    and the index of the best start (the earliest wins ties).
+    ``start``, which needs a finite nonzero norm, ``grad_tol`` must be positive
+    and finite, and a state may have at most ``MAX_AMPLITUDES`` amplitudes; all
+    are checked before any start is drawn.  Returns one ``RestartRecord`` and
+    one final amplitude vector per start, and the index of the best start (the earliest wins ties).
     """
     dims = tuple(dims)
     check_count("max_iters", max_iters, 1)
@@ -291,6 +291,8 @@ def multistart(value_grad_fn, dims, *, restarts: int, seed: int, max_iters: int,
     check_count("seed", seed)
     if start is not None and tuple(start.dims) != dims:
         raise ShapeError(f"start state has dims {start.dims}, expected {dims}")
+    if start is not None and not 0 < np.linalg.norm(start.amps) < math.inf:
+        raise DomainError("start must have a finite nonzero norm")
 
     def value_grad(amps):
         v, g = value_grad_fn(amps, dims)

@@ -17,8 +17,15 @@ which every coefficient with a single party excited to level 1 vanishes at a
 true fixed point.  A start stops only at the end of a plain sweep, which ends
 on the last party's normalized contraction v / |v|, so the |0...0>
 coefficient <v / |v|, v> = |v| is real nonnegative as it stands.
+
+Every state gets the same starts, |0...0> and one seeded random product per
+restart.  Only a start's first contraction can vanish (|0...0> for |M4>,
+|1...1> or the flipped W); every normalization floors the norm at
+``DEGENERACY_TOL``, so such a start is the zero vector, settles at sweep 2 with
+overlap 0 and loses.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,19 +66,19 @@ def _outer(a, b):
 
 
 def _random_product(dims, rng):
-    """One random unit vector per party from a single ``standard_normal`` draw.
+    """One random unit vector per party, side by side in one row.
 
-    Party q's real and imaginary parts are the next ``d_q`` values each, so the
-    vectors are bitwise those of two ``standard_normal(d_q)`` draws per party.
+    Party q's real and imaginary parts are the next ``d_q`` values each of one
+    ``standard_normal`` draw, so its slice is bitwise that of two ``(d_q)`` draws.
     """
     x = rng.standard_normal(2 * sum(dims))
-    vecs = []
+    row = np.empty(sum(dims), dtype=complex)
     i = 0
     for d in dims:
-        z = x[i:i + d] + 1j * x[i + d:i + 2 * d]
-        vecs.append(z / np.linalg.norm(z))
-        i += 2 * d
-    return vecs
+        z = x[2 * i:2 * i + d] + 1j * x[2 * i + d:2 * i + 2 * d]
+        row[i:i + d] = z / np.linalg.norm(z)
+        i += d
+    return row
 
 
 @dataclass(frozen=True)
@@ -80,31 +87,30 @@ class RestartRecord:
 
     ``stop_reason`` is ``settled`` (a sweep after the first moved no contraction
     off its axis by more than ``SWEEP_RESIDUAL_TOL``) or ``max_sweeps`` (stopped
-    at ``MAX_SWEEPS`` without settling).  ``reseeds`` is 1 for a computational
-    start that was replaced by a random one before the search, else 0.
-    ``extrapolations`` counts the geometric steps the start kept.
+    at ``MAX_SWEEPS`` without settling).  ``extrapolations`` counts the
+    geometric steps the start kept.  A start whose first contraction vanishes
+    reads ``settled`` at sweep 2 with overlap 0.0 and no steps.
     """
 
     restart: int
     sweeps: int
-    reseeds: int
     extrapolations: int
     overlap: float
     stop_reason: str
 
 
-def _alternate(t: np.ndarray, vectors: np.ndarray, reseeds):
+def _alternate(t: np.ndarray, vectors: np.ndarray):
     """Run alternating maximization from R product starts in lockstep.
 
     ``vectors`` holds every start's party vectors side by side as one ``(R, sum(d))``
     block, party q's entries starting at offset sum(d_p for p < q), and is swept
-    in place; ``reseeds[r]`` goes into row r's record.  Every row starts at sweep
-    1, and stops once a sweep after the first moves no contraction off its
-    current axis by more than ``SWEEP_RESIDUAL_TOL`` or at ``MAX_SWEEPS``.  That
-    drift bounds the single-excitation coefficients of the final form, so
-    stopping on it (rather than on the overlap increment, which saturates at
-    float resolution long before the vectors settle) is what keeps
-    ``zero_residual`` small.
+    in place.  Every row starts at sweep 1, and stops once a sweep after the
+    first moves no contraction off its current axis by more than
+    ``SWEEP_RESIDUAL_TOL`` or at ``MAX_SWEEPS``.  That drift bounds the
+    single-excitation coefficients of the final form, so stopping on it (rather
+    than on the overlap increment, which saturates at float resolution long
+    before the vectors settle) is what keeps ``zero_residual`` small.  A row
+    whose first contraction vanishes stays zero, with drift 0.
 
     A party step is one matmul of the row-wise outer product of the other
     parties' conjugated vectors against the state held as a ``(D/d_p, d_p)``
@@ -121,7 +127,7 @@ def _alternate(t: np.ndarray, vectors: np.ndarray, reseeds):
     vectors and the ``(sweeps, R)`` per-sweep overlaps.
     """
     n = t.ndim
-    rows = len(reseeds)
+    rows = len(vectors)
     offsets = np.cumsum((0,) + t.shape[:-1])
     parts = [slice(a, a + d) for a, d in zip(offsets.tolist(), t.shape)]
     fronts = [np.moveaxis(t, p, -1).reshape(-1, d) for p, d in enumerate(t.shape)]
@@ -161,8 +167,7 @@ def _alternate(t: np.ndarray, vectors: np.ndarray, reseeds):
         settled = (sweep > 1) & (np.sqrt(drift2) < SWEEP_RESIDUAL_TOL)
         for r in np.flatnonzero(active & (settled | (sweep >= MAX_SWEEPS))).tolist():
             reason = "settled" if settled[r] else "max_sweeps"
-            records[r] = RestartRecord(r, sweep, reseeds[r], int(extrapolations[r]),
-                                       float(overlap[r]), reason)
+            records[r] = RestartRecord(r, sweep, int(extrapolations[r]), float(overlap[r]), reason)
             final[r] = vectors[r]
             active[r] = False
         # The ratio of the first sweep that may extrapolate needs its own
@@ -181,7 +186,8 @@ def _alternate(t: np.ndarray, vectors: np.ndarray, reseeds):
         trusted = np.where(stable, ratio, 0.0)  # rows that do not try the step stay put
         moved = vectors + (trusted / (1.0 - trusted))[:, None] * (vectors - replaced)
         x = moved.view(float)
-        moved /= np.repeat(np.sqrt(np.add.reduceat(x * x, 2 * offsets, axis=1)), t.shape, axis=1)
+        norms = np.sqrt(np.add.reduceat(x * x, 2 * offsets, axis=1))
+        moved /= np.repeat(np.maximum(norms, DEGENERACY_TOL), t.shape, axis=1)
         moved_conj = moved.conj()
         before = None
         for part in parts[:-1]:
@@ -218,12 +224,13 @@ class CanonicalForm:
 def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CanonicalForm:
     """Find the closest product state and rotate it onto |0...0>.
 
-    Runs one start from the computational product |0...0> (a random product
-    where its first contraction vanishes) plus ``restarts`` random product
-    starts, all in lockstep, and keeps the largest overlap.  The
+    Runs one start from the computational product |0...0> plus ``restarts``
+    random product starts, start r drawn from ``default_rng([seed, r])``, all
+    in lockstep and for every state alike, and keeps the largest overlap.  The
     earliest start wins ties up to float noise, so a state already in canonical
     form comes back with identity rotations instead of whatever a random
-    restart landed on.  ``restarts`` must be an integer in 1..``MAX_RESTARTS``,
+    restart landed on; a start whose first contraction vanishes settles at
+    overlap 0 and loses.  ``restarts`` must be an integer in 1..``MAX_RESTARTS``,
     since every start's vectors are held at once, and ``seed`` a non-negative
     integer.
     """
@@ -234,19 +241,11 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
     check_normalized(s.amps)
     t = s.tensor()
     dims = s.dims
-    n = s.n_parties
 
-    # No party step lowers the overlap, so only a start's first contraction can
-    # vanish.  The computational start's is t[:, 0, ..., 0] (|M4>, |1...1>, the
-    # flipped W), and where it vanishes default_rng([seed, 0]) draws the start.
-    # A random start's vanishes on a set of measure zero, and such a row would
-    # settle at overlap 0 and lose the tie, so it gets no guard.
-    reseeded = int(np.linalg.norm(t.reshape(dims[0], -1)[:, 0]) < DEGENERACY_TOL)
-    products = [] if reseeded else [[np.eye(d, dtype=complex)[0] for d in dims]]
-    products += [_random_product(dims, np.random.default_rng([seed, r]))
-                 for r in range(1 - reseeded, restarts + 1)]
-    final, trace, records = _alternate(t, np.array([np.concatenate(v) for v in products]),
-                                       [reseeded] + [0] * restarts)
+    starts = [np.concatenate([np.eye(d, dtype=complex)[0] for d in dims])]
+    starts += [_random_product(dims, np.random.default_rng([seed, r]))
+               for r in range(1, restarts + 1)]
+    final, trace, records = _alternate(t, np.array(starts))
 
     best = 0
     for r in range(1, restarts + 1):
@@ -259,12 +258,9 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
     for p, u in enumerate(unitaries):
         out = apply_kept_operator(out, u, (p,))
     canon = PureState(dims, out.reshape(-1))
-
-    residual = 0.0
-    ct = canon.tensor()
-    for p in range(n):
-        idx = tuple(1 if q == p else 0 for q in range(n))
-        residual = max(residual, abs(ct[idx]))
+    # Party p's single excitation is at flat index prod(dims[p + 1:]); abs per
+    # value, since np.abs over the array may differ in the last bit.
+    residual = max(map(abs, canon.amps[[math.prod(dims[p + 1:]) for p in range(len(dims))]]))
 
     return CanonicalForm(
         state=canon,

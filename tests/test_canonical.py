@@ -294,9 +294,10 @@ def _sequential_alternate(t, dims, vectors):
 
     From sweep ``EXTRAPOLATE_FROM`` on, a start whose drift ratio is stable
     tries the geometric step on every party and keeps it unless it lowers the
-    overlap by more than the tie.  Returns ``(overlap, history, norms,
-    extrapolations, stop_reason)``, ``norms`` holding every party step's
-    contraction norm in order.
+    overlap by more than the tie.  Every normalization floors the norm at
+    ``DEGENERACY_TOL``, so a start whose first contraction vanishes becomes the
+    zero vector.  Returns ``(overlap, history, norms, extrapolations,
+    stop_reason)``, ``norms`` holding every party step's contraction norm in order.
     """
     vectors = [np.asarray(v, dtype=complex).copy() for v in vectors]
     history = []
@@ -313,7 +314,7 @@ def _sequential_alternate(t, dims, vectors):
             norms.append(float(nv))
             axial = (vectors[p].conj() @ v) * vectors[p]
             drift = max(drift, float(np.linalg.norm(v - axial)))
-            vectors[p] = v / nv
+            vectors[p] = v / max(nv, DEGENERACY_TOL)
         history.append(float(nv * nv))
         if sweep > 1 and drift < SWEEP_RESIDUAL_TOL:
             return history[-1], history, norms, extrapolations, "settled"
@@ -323,7 +324,7 @@ def _sequential_alternate(t, dims, vectors):
                     and abs(ratio - last_ratio) < EXTRAPOLATE_STABILITY * last_ratio):
                 step = ratio / (1.0 - ratio)
                 moved = [v + step * (v - u) for v, u in zip(vectors, prior)]
-                moved = [v / np.linalg.norm(v) for v in moved]
+                moved = [v / max(np.linalg.norm(v), DEGENERACY_TOL) for v in moved]
                 c = moved[-1].conj() @ _sequential_contract(t, moved, len(dims) - 1)
                 if abs(c) ** 2 > history[-1] * (1.0 - EXTRAPOLATE_TIE):
                     vectors = moved
@@ -333,20 +334,17 @@ def _sequential_alternate(t, dims, vectors):
     return history[-1], history, norms, extrapolations, "max_sweeps"
 
 
-def _sequential_restarts(s, restarts, seed):
-    """Every start's reseed count and reference run.
+def _party_slices(dims, row):
+    return np.split(row, np.cumsum(dims[:-1]))
 
-    A computational start whose first contraction vanishes is replaced, once
-    and before it runs, by the random product from ``default_rng([seed, 0])``.
-    """
-    comp = [np.eye(d, dtype=complex)[0] for d in s.dims]
-    reseeded = np.linalg.norm(_sequential_contract(s.tensor(), comp, 0)) < DEGENERACY_TOL
-    out = []
-    for r in range(restarts + 1):
-        rng = np.random.default_rng([seed, r])
-        start = comp if r == 0 and not reseeded else canonical._random_product(s.dims, rng)
-        out.append((int(r == 0 and reseeded),) + _sequential_alternate(s.tensor(), s.dims, start))
-    return out
+
+def _sequential_restarts(s, restarts, seed):
+    """Every start's reference run: |0...0> first, then start r from ``default_rng([seed, r])``."""
+    starts = [[np.eye(d, dtype=complex)[0] for d in s.dims]]
+    starts += [_party_slices(s.dims, canonical._random_product(s.dims,
+                                                               np.random.default_rng([seed, r])))
+               for r in range(1, restarts + 1)]
+    return [_sequential_alternate(s.tensor(), s.dims, start) for start in starts]
 
 
 def _chosen_start(records):
@@ -359,14 +357,12 @@ def _chosen_start(records):
 
 def _assert_matches_sequential(form, reference):
     assert [r.restart for r in form.restarts] == list(range(len(reference)))
-    for record, (reseeds, overlap, history, _, extrapolations, reason) in zip(form.restarts,
-                                                                              reference):
+    for record, (overlap, history, _, extrapolations, reason) in zip(form.restarts, reference):
         assert record.sweeps == len(history)
-        assert record.reseeds == reseeds
         assert record.extrapolations == extrapolations
         assert abs(record.overlap - overlap) <= 1e-12
         assert record.stop_reason == reason
-    history = reference[_chosen_start(form.restarts)][2]
+    history = reference[_chosen_start(form.restarts)][1]
     assert len(form.history) == len(history)
     assert all(abs(a - b) <= 1e-12 for a, b in zip(form.history, history))
 
@@ -400,8 +396,12 @@ def test_lockstep_matches_sequential_restarts(label, s, seed):
     assert {r.stop_reason for r in form.restarts} == {"settled"}
     vanishes = np.linalg.norm(s.tensor().reshape(s.dims[0], -1)[:, 0]) < DEGENERACY_TOL
     assert vanishes == (label in {"M4", "1111", "flipped-W4", "(3, 3, 3)-vanishing"})
-    assert form.restarts[0].reseeds == int(vanishes)
-    assert all(r.reseeds == 0 for r in form.restarts[1:])
+    # Exactly a computational start whose first contraction vanishes settles
+    # at once on the zero vector, and loses the tie.
+    zero_rows = [r.restart for r in form.restarts
+                 if (r.overlap, r.stop_reason, r.sweeps, r.extrapolations) == (0.0, "settled", 2, 0)]
+    assert zero_rows == ([0] if vanishes else [])
+    assert _chosen_start(form.restarts) not in zero_rows
     assert form.sweeps in {r.sweeps for r in form.restarts}
     # The sweep ends on the last party's normalized contraction, so the |0...0>
     # coefficient comes out real and equal to sqrt(overlap) with no phase fix.
@@ -410,9 +410,44 @@ def test_lockstep_matches_sequential_restarts(label, s, seed):
     assert abs(lead - math.sqrt(form.overlap)) <= 1e-13
     # Each party step takes the exact maximizer with the others fixed, so the
     # overlap, and with it every later contraction norm, can only rise.
-    for _, _, _, norms, _, _ in reference:
-        assert norms[0] >= DEGENERACY_TOL
+    for r, (_, _, norms, _, _) in enumerate(reference):
+        assert (norms[0] >= DEGENERACY_TOL) == (r not in zero_rows)
         assert all(b >= a * (1.0 - 1e-14) for a, b in zip(norms, norms[1:]))
+
+
+@pytest.mark.parametrize("label,s", [("M4", make("M4")),
+                                     ("(2, 3, 2, 2)", random_state((2, 3, 2, 2),
+                                                                   np.random.default_rng(70)))])
+def test_every_state_gets_the_same_starts(monkeypatch, label, s):
+    blocks = []
+    alternate = canonical._alternate
+
+    def recording(t, vectors):
+        blocks.append(vectors.copy())
+        return alternate(t, vectors)
+
+    monkeypatch.setattr(canonical, "_alternate", recording)
+    seed, restarts = 3, 5
+    canonicalize(s, restarts=restarts, seed=seed)
+    (block,) = blocks
+    assert block.shape == (restarts + 1, sum(s.dims))
+    assert np.array_equal(block[0], np.concatenate([np.eye(d)[0] for d in s.dims]))
+    for r in range(1, restarts + 1):
+        rng = np.random.default_rng([seed, r])
+        for d, vec in zip(s.dims, _party_slices(s.dims, block[r])):
+            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            assert np.array_equal(vec, z / np.linalg.norm(z))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_vanishing_start_runs_clean_through_the_extrapolation_phase():
+    # The zero row keeps sweeping with the rest; the extrapolation step must
+    # normalize it with the same floor as a party step, not divide 0 by 0.
+    s = _with_vanishing_first_slice((4, 4, 4, 4), 71)
+    form = canonicalize(s, seed=0)
+    assert max(r.extrapolations for r in form.restarts) > 0
+    assert (form.restarts[0].overlap, form.restarts[0].sweeps) == (0.0, 2)
+    assert form.converged
 
 
 def test_restart_records_do_not_depend_on_batch_size():
@@ -470,8 +505,9 @@ def test_random_starts_are_pinned(dims):
     for seed in range(3):
         for r in range(1, 6):
             got = canonical._random_product(dims, np.random.default_rng([seed, r]))
+            assert got.shape == (sum(dims),)
             rng = np.random.default_rng([seed, r])
-            for d, vec in zip(dims, got):
+            for d, vec in zip(dims, _party_slices(dims, got)):
                 z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                 assert np.array_equal(vec, z / np.linalg.norm(z))
 
@@ -482,7 +518,7 @@ def test_random_starts_have_haar_moments():
     rng = np.random.default_rng(107)
     draws = [canonical._random_product((2, 3, 4), rng) for _ in range(4000)]
     for p, d in enumerate((2, 3, 4)):
-        weights = np.abs(np.array([vecs[p] for vecs in draws])) ** 2
+        weights = np.abs(np.array([_party_slices((2, 3, 4), row)[p] for row in draws])) ** 2
         for samples, expected in ((weights, 1.0 / d), (weights**2, 2.0 / (d * (d + 1)))):
             standard_error = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
             assert np.all(np.abs(samples.mean(axis=0) - expected) < 5.0 * standard_error)

@@ -201,10 +201,12 @@ def test_canonicalize_reports_restarts_under_manifest_stats(tmp_path, capsys):
                             "sweeps", "manifest"}
     records = payload["manifest"]["stats"]["restarts"]
     assert [r["restart"] for r in records] == [0, 1, 2, 3, 4]
-    assert set(records[0]) == {"restart", "sweeps", "reseeds", "extrapolations", "overlap",
-                               "stop_reason"}
-    # the computational start of |M4> vanishes and is replaced once, up front
-    assert records[0]["reseeds"] == 1
+    assert set(records[0]) == {"restart", "sweeps", "extrapolations", "overlap", "stop_reason"}
+    # the computational start of |M4> vanishes, settles at overlap 0 and loses
+    assert (records[0]["overlap"], records[0]["sweeps"]) == (0.0, 2)
+    # the earliest start within the tie of the largest overlap is chosen
+    overlaps = [r["overlap"] for r in records]
+    assert payload["overlap"] in overlaps and max(overlaps) - payload["overlap"] <= 1e-12
     assert {r["stop_reason"] for r in records} == {"settled"}
     assert payload["sweeps"] in {r["sweeps"] for r in records}
     _, again, _ = run_cli(capsys, argv)

@@ -209,6 +209,22 @@ def test_one_restart_rule_for_both_searches(monkeypatch, search, dims):
             search(**kwargs)
 
 
+@pytest.mark.parametrize("search, dims", [
+    (maximize, DIMS),
+    (functools.partial(minimize_deviation, (2, 2)), (2, 2)),
+], ids=["maximize", "minimize_deviation"])
+@pytest.mark.filterwarnings("error")
+def test_a_zero_start_is_rejected_before_any_start_runs(monkeypatch, search, dims):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a start was drawn or a search ran")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(ascent, "ascend", forbidden)
+    for restarts in (0, 2):
+        with pytest.raises(DomainError, match="start"):
+            search(restarts=restarts, start=PureState(dims, np.zeros(math.prod(dims))))
+
+
 def test_amplitude_bound_fires_before_any_start_is_allocated(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a start was allocated")
