@@ -18,11 +18,12 @@ true fixed point.  A start stops only at the end of a plain sweep, which ends
 on the last party's normalized contraction v / |v|, so the |0...0>
 coefficient <v / |v|, v> = |v| is real nonnegative as it stands.
 
-Every state gets the same starts, |0...0> and one seeded random product per
-restart.  Only a start's first contraction can vanish (|0...0> for |M4>,
-|1...1> or the flipped W); every normalization floors the norm at
-``DEGENERACY_TOL``, so such a start is the zero vector, settles at sweep 2 with
-overlap 0 and loses.
+Every state gets the same starts: |0...0>, then the rows of one random draw keyed
+``[seed, *STARTS_KEY]``.  By SeedSequence zero padding, ``[seed]`` and ``[seed, 0]``
+key ``default_rng(seed)``, and a state drawn from it would be correlated with such
+starts.  Only a start's first contraction can vanish (|0...0> for |M4>, |1...1> or
+the flipped W); every normalization floors the norm at ``DEGENERACY_TOL``, so such
+a start is the zero vector, settles at sweep 2 with overlap 0 and loses.
 """
 
 import math
@@ -51,6 +52,7 @@ DEGENERACY_TOL = 1e-14
 TIE_TOL = 1e-12
 # Every start's vectors are held at once, so the start count is bounded.
 MAX_RESTARTS = 4096
+STARTS_KEY = (0, 1)  # the random starts' stream key after the seed
 
 
 def _outer(a, b):
@@ -65,20 +67,18 @@ def _outer(a, b):
     return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
-def _random_product(dims, rng):
-    """One random unit vector per party, side by side in one row.
-
-    Party q's real and imaginary parts are the next ``d_q`` values each of one
-    ``standard_normal`` draw, so its slice is bitwise that of two ``(d_q)`` draws.
+def _starts(dims, restarts, seed):
+    """The ``(restarts + 1, sum(d))`` block of starts: |0...0>, then the rows of one
+    ``standard_normal((restarts, 2, sum(d)))`` draw, real parts then imaginary parts,
+    normalized party by party.
     """
-    x = rng.standard_normal(2 * sum(dims))
-    row = np.empty(sum(dims), dtype=complex)
-    i = 0
-    for d in dims:
-        z = x[2 * i:2 * i + d] + 1j * x[2 * i + d:2 * i + 2 * d]
-        row[i:i + d] = z / np.linalg.norm(z)
-        i += d
-    return row
+    offsets = np.cumsum((0,) + dims[:-1])
+    x = np.random.default_rng([seed, *STARTS_KEY]).standard_normal((restarts, 2, sum(dims)))
+    norms = np.sqrt(np.add.reduceat((x * x).sum(axis=1), offsets, axis=1))
+    block = np.zeros((restarts + 1, sum(dims)), dtype=complex)
+    block[0, offsets] = 1.0
+    block[1:] = (x[:, 0] + 1j * x[:, 1]) / np.repeat(norms, dims, axis=1)
+    return block
 
 
 @dataclass(frozen=True)
@@ -224,15 +224,15 @@ class CanonicalForm:
 def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CanonicalForm:
     """Find the closest product state and rotate it onto |0...0>.
 
-    Runs one start from the computational product |0...0> plus ``restarts``
-    random product starts, start r drawn from ``default_rng([seed, r])``, all
-    in lockstep and for every state alike, and keeps the largest overlap.  The
-    earliest start wins ties up to float noise, so a state already in canonical
-    form comes back with identity rotations instead of whatever a random
-    restart landed on; a start whose first contraction vanishes settles at
-    overlap 0 and loses.  ``restarts`` must be an integer in 1..``MAX_RESTARTS``,
-    since every start's vectors are held at once, and ``seed`` a non-negative
-    integer.
+    Runs |0...0> plus ``restarts`` random product starts in lockstep, the same
+    for every state, and keeps the largest overlap.  Start r >= 1 is row r - 1 of
+    one draw keyed ``[seed, *STARTS_KEY]``, so it depends on (seed, r) alone, and is
+    not drawn from ``default_rng(seed)``, whose stream may have drawn the state.
+    The earliest start wins ties up to float noise, so a state already in canonical
+    form comes back with identity rotations instead of whatever a random restart
+    landed on; a start whose first contraction vanishes settles at overlap 0 and
+    loses.  ``restarts`` must be an integer in 1..``MAX_RESTARTS``, since every
+    start's vectors are held at once, and ``seed`` a non-negative integer.
     """
     check_count("restarts", restarts, 1)
     if restarts > MAX_RESTARTS:
@@ -242,10 +242,7 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
     t = s.tensor()
     dims = s.dims
 
-    starts = [np.concatenate([np.eye(d, dtype=complex)[0] for d in dims])]
-    starts += [_random_product(dims, np.random.default_rng([seed, r]))
-               for r in range(1, restarts + 1)]
-    final, trace, records = _alternate(t, np.array(starts))
+    final, trace, records = _alternate(t, _starts(dims, restarts, seed))
 
     best = 0
     for r in range(1, restarts + 1):

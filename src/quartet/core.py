@@ -258,14 +258,17 @@ def state_from_json(obj) -> PureState:
     # Parseable dims can multiply past Python's integer-to-text limit: never print the product.
     if len(amps) != math.prod(dims):
         raise DomainError(f'"amps" has {len(amps)} entries, not the product of the dims')
-    flat = np.empty(len(amps), dtype=complex)
     for i, pair in enumerate(amps):
         if not isinstance(pair, list) or len(pair) != 2:
             raise DomainError(f'"amps"[{i}] is not an [re, im] pair')
         if not (_is_real_type(type(pair[0])) and _is_real_type(type(pair[1]))):
             raise DomainError(f'"amps"[{i}] is not numeric')
-        try:
-            flat[i] = complex(float(pair[0]), float(pair[1]))
-        except OverflowError as exc:
-            raise DomainError(f'"amps"[{i}] is not numeric') from exc
+    try:
+        flat = np.array(amps, dtype=float).view(complex).reshape(-1)
+    except OverflowError as exc:
+        for i, pair in enumerate(amps):  # name the first pair beyond float range
+            try:
+                np.array(pair, dtype=float)
+            except OverflowError:
+                raise DomainError(f'"amps"[{i}] is not numeric') from exc
     return PureState(tuple(dims), flat)

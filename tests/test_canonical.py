@@ -339,12 +339,9 @@ def _party_slices(dims, row):
 
 
 def _sequential_restarts(s, restarts, seed):
-    """Every start's reference run: |0...0> first, then start r from ``default_rng([seed, r])``."""
-    starts = [[np.eye(d, dtype=complex)[0] for d in s.dims]]
-    starts += [_party_slices(s.dims, canonical._random_product(s.dims,
-                                                               np.random.default_rng([seed, r])))
-               for r in range(1, restarts + 1)]
-    return [_sequential_alternate(s.tensor(), s.dims, start) for start in starts]
+    """Every start's reference run, one row of the block of starts at a time."""
+    return [_sequential_alternate(s.tensor(), s.dims, _party_slices(s.dims, row))
+            for row in canonical._starts(s.dims, restarts, seed)]
 
 
 def _chosen_start(records):
@@ -419,6 +416,8 @@ def test_lockstep_matches_sequential_restarts(label, s, seed):
                                      ("(2, 3, 2, 2)", random_state((2, 3, 2, 2),
                                                                    np.random.default_rng(70)))])
 def test_every_state_gets_the_same_starts(monkeypatch, label, s):
+    # s hands _alternate bitwise the block that a random state of its dims gets,
+    # for |M4> a random (2,2,2,2) state.
     blocks = []
     alternate = canonical._alternate
 
@@ -428,15 +427,11 @@ def test_every_state_gets_the_same_starts(monkeypatch, label, s):
 
     monkeypatch.setattr(canonical, "_alternate", recording)
     seed, restarts = 3, 5
-    canonicalize(s, restarts=restarts, seed=seed)
-    (block,) = blocks
-    assert block.shape == (restarts + 1, sum(s.dims))
-    assert np.array_equal(block[0], np.concatenate([np.eye(d)[0] for d in s.dims]))
-    for r in range(1, restarts + 1):
-        rng = np.random.default_rng([seed, r])
-        for d, vec in zip(s.dims, _party_slices(s.dims, block[r])):
-            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            assert np.array_equal(vec, z / np.linalg.norm(z))
+    for state in (s, random_state(s.dims, np.random.default_rng(71))):
+        canonicalize(state, restarts=restarts, seed=seed)
+    block, random_block = blocks
+    assert np.array_equal(block, random_block)
+    assert np.array_equal(block, canonical._starts(s.dims, restarts, seed))
 
 
 @pytest.mark.filterwarnings("error")
@@ -500,23 +495,34 @@ def test_stop_reasons_tell_settled_and_sweep_cap_apart(monkeypatch):
     assert [(r.stop_reason, r.sweeps) for r in capped.restarts] == [("max_sweeps", 2)] * 4
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 4), (5,)])
 def test_random_starts_are_pinned(dims):
+    # Start r >= 1 is row r - 1 of one draw keyed [seed, 0, 1]: real parts, then
+    # imaginary parts, each party's slice divided by its norm.
+    offsets = np.cumsum((0,) + dims[:-1])
     for seed in range(3):
+        block = canonical._starts(dims, 5, seed)
+        assert block.shape == (6, sum(dims))
+        assert np.array_equal(block[0], np.concatenate([np.eye(d)[0] for d in dims]))
+        x = np.random.default_rng([seed, 0, 1]).standard_normal((5, 2, sum(dims)))
         for r in range(1, 6):
-            got = canonical._random_product(dims, np.random.default_rng([seed, r]))
-            assert got.shape == (sum(dims),)
-            rng = np.random.default_rng([seed, r])
-            for d, vec in zip(dims, _party_slices(dims, got)):
-                z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                assert np.array_equal(vec, z / np.linalg.norm(z))
+            re, im = x[r - 1]
+            norms = np.sqrt(np.add.reduceat(re * re + im * im, offsets))
+            assert np.array_equal(block[r], (re + 1j * im) / np.repeat(norms, dims))
+            for vec in _party_slices(dims, block[r]):
+                assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15
+
+
+def test_a_start_does_not_depend_on_the_restart_count():
+    for dims, seed in (((2, 2, 2, 2), 0), ((2, 3, 2, 2), 5), ((5, 5, 5), 1)):
+        assert np.array_equal(canonical._starts(dims, 4, seed),
+                              canonical._starts(dims, 16, seed)[:5])
 
 
 def test_random_starts_have_haar_moments():
     # A Haar unit vector in dimension d has each |v_j|^2 Beta(1, d - 1): mean 1/d and
     # second moment 2/(d(d + 1)).
-    rng = np.random.default_rng(107)
-    draws = [canonical._random_product((2, 3, 4), rng) for _ in range(4000)]
+    draws = canonical._starts((2, 3, 4), 4000, 107)[1:]
     for p, d in enumerate((2, 3, 4)):
         weights = np.abs(np.array([_party_slices((2, 3, 4), row)[p] for row in draws])) ** 2
         for samples, expected in ((weights, 1.0 / d), (weights**2, 2.0 / (d * (d + 1)))):

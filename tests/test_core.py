@@ -248,6 +248,11 @@ def test_state_json_round_trip_bitwise():
     back = state_from_json(json.loads(text))
     assert back.dims == s.dims
     assert np.array_equal(back.amps, s.amps)
+    # Ints, floats, -0.0 and ints past 2**53 read bit for bit as float() reads each part.
+    amps = [[1, -0.0], [0.1, 2**70], [-(2**70) - 1, 3], [-0.0, 2**1023]]
+    back = state_from_json({"dims": [2, 2], "amps": amps})
+    reference = np.array([complex(float(re), float(im)) for re, im in amps])
+    assert np.array_equal(back.amps.view(np.int64), reference.view(np.int64))
 
 
 def test_state_json_ignores_unknown_keys():
@@ -346,8 +351,12 @@ def test_state_from_json_returns_a_state_or_a_domain_error(payload):
 
 @pytest.mark.parametrize("amp", [10**400, -(10**400)], ids=["1e400", "-1e400"])
 def test_state_json_rejects_an_amplitude_too_large_for_a_float(amp):
-    with pytest.raises(DomainError, match="not numeric"):
+    with pytest.raises(DomainError, match=r'"amps"\[0\] is not numeric'):
         state_from_json({"dims": [2, 2], "amps": [[amp, 0], [0, 0], [0, 0], [0, 0]]})
+    # The first pair beyond float range is named, whichever part holds it; an
+    # infinite float is in range.
+    with pytest.raises(DomainError, match=r'"amps"\[2\] is not numeric'):
+        state_from_json({"dims": [2, 2], "amps": [[2**1023, 0], [math.inf, 0], [0, amp], [amp, 0]]})
 
 
 def test_check_normalized_rejects_any_state_of_a_stack():
