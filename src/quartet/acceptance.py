@@ -1,19 +1,22 @@
 """Numbered end-to-end checks for the package's headline quantitative claims.
 
-Each check pins down one result the library exists to reproduce: the
+Each criterion pins down one result the library exists to reproduce: the
 reference entropy profiles, the shared pair spectrum of |M4>, gradient
 stationarity at |M4>, the multi-start entropy search landing on the |M4>
 profile, the strictly positive four-qubit deviation floor, canonical-form
 convergence, measurement robustness, and a cross-module invariant sweep.
 
-``run_all`` runs the checks in order and yields one CriterionResult per check
-as soon as it finishes; the ``verify`` CLI subcommand iterates it, printing a
-PASS or FAIL line for each result as it arrives and then one JSON verdict
-(each result through ``dataclasses.asdict``).  Every check also carries a
-wall-clock budget and fails if it runs over.
-"""
+Every criterion hands its checks, each a label, a list of measurements and a
+bound, to ``verdict``, which applies one rule: a check passes only when the
+largest of its measurements is strictly below its bound, so a NaN or an empty
+list fails it.  The details print that largest measurement next to its bound.
 
-from __future__ import annotations
+``run_all`` runs the criteria in order and yields one CriterionResult per
+criterion as soon as it finishes; the ``verify`` CLI subcommand iterates it,
+printing a PASS or FAIL line for each result as it arrives and then one JSON
+verdict (each result through ``dataclasses.asdict``).  Every criterion also
+carries a wall-clock budget and fails if it runs over.
+"""
 
 import collections
 import math
@@ -32,7 +35,7 @@ from .measure import (
     random_basis,
     residual_pair_entropies,
 )
-from .entropy import PAIRS, complement, pair_parties, profile
+from .entropy import PAIRS, complement, profile
 from .core import apply_local_unitary, partial_trace, random_state, random_unitary
 
 # Average pair entropy of |M4>, the conjectured four-qubit maximum; every pair has it.
@@ -72,29 +75,35 @@ def format_line(r: CriterionResult) -> str:
     return f"{flag} criterion {r.number} ({r.name}): {r.details} [{r.duration_seconds:.2f}s]"
 
 
-def _profile_deviation(tag: str, expected: float) -> float:
-    entries = profile(catalog.make(tag)).entries
-    return max(abs(v - expected) for v in entries.values())
+def verdict(checks, notes=()) -> tuple[bool, str]:
+    """A criterion's ``(passed, details)`` from its ``(label, measurements, bound)``
+    checks, then its free-text ``notes``, by the rule in the module docstring."""
+    passed = True
+    parts = []
+    for label, measurements, bound in checks:
+        # np.max, unlike the builtin max, carries a NaN through to the comparison.
+        worst = float(np.max(measurements)) if np.size(measurements) else math.nan
+        passed = passed and worst < bound
+        parts.append(f"{label} {worst:.2e} (tol {bound:.0e})")
+    return passed, "; ".join([*parts, *notes])
+
+
+def _profile_deviations(tag: str, expected: float) -> list:
+    return [abs(v - expected) for v in profile(catalog.make(tag)).entries.values()]
 
 
 def criterion_entropy_profiles() -> tuple[bool, str]:
     """Reference profiles: |C4> all 1, the example state (1,1,2,2,2,2), |M4> uniform."""
     tol = 1e-10
-    c4_dev = _profile_deviation("C4", 1.0)
-
     psi = profile(catalog.make("PSI_EXAMPLE"))
-    psi_sorted = psi.sorted_entries()
-    psi_dev = max(abs(a - b) for a, b in zip(psi_sorted, (1.0, 1.0, 2.0, 2.0, 2.0, 2.0)))
-    psi_avg_dev = abs(psi.average - 5.0 / 3.0)
-
-    m4_dev = _profile_deviation("M4", TARGET_AVERAGE)
-
-    ok = max(c4_dev, psi_dev, psi_avg_dev, m4_dev) < tol
-    details = (
-        f"profile deviations: C4 {c4_dev:.2e}, example sorted {psi_dev:.2e} "
-        f"(average {psi_avg_dev:.2e}), M4 {m4_dev:.2e} (tol {tol:.0e})"
-    )
-    return ok, details
+    return verdict([
+        ("C4 profile deviation", _profile_deviations("C4", 1.0), tol),
+        ("example sorted profile deviation",
+         [abs(a - b) for a, b in zip(psi.sorted_entries(), (1.0, 1.0, 2.0, 2.0, 2.0, 2.0))],
+         tol),
+        ("example average deviation", [abs(psi.average - 5.0 / 3.0)], tol),
+        ("M4 profile deviation", _profile_deviations("M4", TARGET_AVERAGE), tol),
+    ])
 
 
 def criterion_pair_spectrum() -> tuple[bool, str]:
@@ -102,15 +111,6 @@ def criterion_pair_spectrum() -> tuple[bool, str]:
     tol = 1e-10
     m4 = catalog.make("M4")
     rho_ab = partial_trace(m4, ("A", "B"))
-    spectrum = np.linalg.eigvalsh(rho_ab)[::-1]
-    spectrum_dev = float(np.max(np.abs(spectrum - np.array(M4_PAIR_SPECTRUM))))
-
-    rho_ac = partial_trace(m4, ("A", "C"))
-    rho_ad = partial_trace(m4, ("A", "D"))
-    equal_dev = max(
-        float(np.max(np.abs(rho_ab - rho_ac))),
-        float(np.max(np.abs(rho_ab - rho_ad))),
-    )
 
     # Independent construction: 1/6(|00><00| + |11><11| + |phi+><phi+|)
     # + 1/2 |phi-><phi-| with phi+- = (|10> +- |01>)/sqrt(2).
@@ -124,14 +124,13 @@ def criterion_pair_spectrum() -> tuple[bool, str]:
     e00 = [1.0, 0.0, 0.0, 0.0]
     e11 = [0.0, 0.0, 0.0, 1.0]
     mixture = (proj(e00) + proj(e11) + proj(phi_plus)) / 6.0 + proj(phi_minus) / 2.0
-    mixture_dev = float(np.max(np.abs(rho_ab - mixture)))
 
-    ok = max(spectrum_dev, equal_dev, mixture_dev) < tol
-    details = (
-        f"spectrum dev {spectrum_dev:.2e}, AB=AC=AD dev {equal_dev:.2e}, "
-        f"explicit mixture dev {mixture_dev:.2e} (tol {tol:.0e})"
-    )
-    return ok, details
+    return verdict([
+        ("spectrum dev", np.abs(np.linalg.eigvalsh(rho_ab)[::-1] - M4_PAIR_SPECTRUM), tol),
+        ("AB=AC=AD dev", np.abs([rho_ab - partial_trace(m4, ("A", "C")),
+                                 rho_ab - partial_trace(m4, ("A", "D"))]), tol),
+        ("explicit mixture dev", np.abs(rho_ab - mixture), tol),
+    ])
 
 
 def _finite_difference_gradient(amps: np.ndarray, dims, h: float) -> np.ndarray:
@@ -150,180 +149,129 @@ def _finite_difference_gradient(amps: np.ndarray, dims, h: float) -> np.ndarray:
 
 def criterion_stationarity() -> tuple[bool, str]:
     """|M4> is a critical point; the analytic gradient matches finite differences."""
-    report = ascent.stationarity_report(catalog.make("M4"))
-    tangent = report["tangent_grad_norm"]
-
     dims = (2, 2, 2, 2)
-    h = 1e-5
-    worst = 0.0
+    errors = []
     for k in range(20):
         s = random_state(dims, np.random.default_rng([3, k]))
         _, analytic = ascent.value_and_gradient_raw(s.amps, dims)
-        fd = _finite_difference_gradient(np.array(s.amps), dims, h)
+        fd = _finite_difference_gradient(np.array(s.amps), dims, h=1e-5)
         scale = np.where(np.abs(analytic) >= 1e-8, np.abs(analytic), 1.0)
-        worst = max(worst, float(np.max(np.abs(analytic - fd) / scale)))
+        errors.append(np.abs(analytic - fd) / scale)
 
-    ok = bool(tangent < 1e-8 and worst < 1e-5)
-    details = (
-        f"tangent gradient norm at M4 {tangent:.2e} (tol 1e-08); "
-        f"worst gradient-vs-finite-difference error {worst:.2e} over 20 states (tol 1e-05)"
-    )
-    return ok, details
+    return verdict([
+        ("tangent gradient norm at M4",
+         [ascent.stationarity_report(catalog.make("M4"))["tangent_grad_norm"]], 1e-8),
+        ("worst gradient-vs-finite-difference error over 20 states", errors, 1e-5),
+    ])
 
 
 def criterion_search() -> tuple[bool, str]:
     """Default 20-restart ascent reaches the target; converged runs match the M4 profile."""
     report = ascent.maximize()
-    gap = abs(report.best_value - TARGET_AVERAGE)
     converged = [r.restart for r in report.restarts if r.converged]
-    mismatches = [r for r in converged if report.classifications[r] != "MATCHES_M4_PROFILE"]
-    worst = max((report.fingerprint_residuals[r] for r in converged), default=0.0)
-    ok = gap < 1e-6 and not mismatches
-    details = (
-        f"best value {report.best_value:.12f} (off target by {gap:.2e}, tol 1e-06); "
-        f"{len(converged)}/{len(report.restarts)} converged, worst converged profile residual "
-        f"{worst:.2e} (tol {ascent.FINGERPRINT_TOL:.0e}), mismatches: {mismatches or 'none'}"
-    )
-    return ok, details
+    return verdict([
+        ("best value off target by", [abs(report.best_value - TARGET_AVERAGE)], 1e-6),
+        ("worst converged profile residual",
+         [report.fingerprint_residuals[r] for r in converged], ascent.FINGERPRINT_TOL),
+    ], [
+        f"best value {report.best_value:.12f}",
+        f"{len(converged)}/{len(report.restarts)} converged",
+    ])
 
 
 def criterion_deviation_floor() -> tuple[bool, str]:
     """No four-qubit state gets uniformly mixed pair marginals; the qudit one does."""
     report = ame_mod.minimize_deviation((2, 2, 2, 2), restarts=50, seed=0)
-    gap = abs(report.floor - DEVIATION_FLOOR_2222)
-    below = [r.restart for r in report.restarts
-             if r.value < DEVIATION_FLOOR_2222 - DEVIATION_FLOOR_TOL]
-    converged = sum(r.converged for r in report.restarts)
-    reasons = collections.Counter(r.stop_reason for r in report.restarts)
-    iterations = sum(r.iterations for r in report.restarts)
-    skipped = sum(r.skipped_pairs for r in report.restarts)
-    resets = sum(r.memory_resets for r in report.restarts)
-    ame44 = ame_mod.ame_deviation(catalog.make("AME44")).total
-    ok = gap <= DEVIATION_FLOOR_TOL and not below and ame44 < 1e-12
-    details = (
-        f"four-qubit floor {report.floor:.12f}, off the derived 4 by {gap:.2e} "
-        f"(tol {DEVIATION_FLOOR_TOL:.0e}); restarts below it: {below or 'none'}; "
-        f"{converged}/{len(report.restarts)} converged, stop reasons: "
-        f"{', '.join(f'{reason} {n}' for reason, n in sorted(reasons.items()))}; "
-        f"{iterations} iterations, {skipped} skipped pairs, {resets} memory resets; "
-        f"AME44 deviation {ame44:.2e} (tol 1e-12)"
-    )
-    return ok, details
+    rows = report.restarts
+    reasons = collections.Counter(r.stop_reason for r in rows)
+    return verdict([
+        ("four-qubit floor off the derived 4 by",
+         [abs(report.floor - DEVIATION_FLOOR_2222)], DEVIATION_FLOOR_TOL),
+        ("deepest restart below the derived 4 by",
+         [DEVIATION_FLOOR_2222 - r.value for r in rows], DEVIATION_FLOOR_TOL),
+        ("AME44 deviation", [ame_mod.ame_deviation(catalog.make("AME44")).total], 1e-12),
+    ], [
+        f"four-qubit floor {report.floor:.12f}",
+        f"{sum(r.converged for r in rows)}/{len(rows)} converged, stop reasons: "
+        f"{', '.join(f'{reason} {n}' for reason, n in sorted(reasons.items()))}",
+        f"{sum(r.iterations for r in rows)} iterations, "
+        f"{sum(r.skipped_pairs for r in rows)} skipped pairs, "
+        f"{sum(r.memory_resets for r in rows)} memory resets",
+    ])
 
 
 def criterion_canonical_form() -> tuple[bool, str]:
     """Canonicalization zeroes the single-excitation slots on 100 random states."""
-    worst_residual = 0.0
-    worst_backstep = 0.0
-    for k in range(100):
-        s = random_state((2, 2, 2, 2), np.random.default_rng([6, k]))
-        form = canonical.canonicalize(s, restarts=16, seed=k)
-        worst_residual = max(worst_residual, form.zero_residual)
-        for a, b in zip(form.history, form.history[1:]):
-            worst_backstep = max(worst_backstep, a - b)
-
+    states = [random_state((2, 2, 2, 2), np.random.default_rng([6, k])) for k in range(100)]
+    forms = [canonical.canonicalize(s, restarts=16, seed=k) for k, s in enumerate(states)]
     c4_form = canonical.canonicalize(catalog.make("C4"), restarts=16, seed=0)
-    c4_gap = abs(c4_form.overlap - C4_PRODUCT_OVERLAP)
+    return verdict([
+        ("worst zero_residual", [form.zero_residual for form in forms], 1e-8),
+        ("worst overlap backstep",
+         [a - b for form in forms for a, b in zip(form.history, form.history[1:])], 1e-14),
+        ("C4 overlap off 1/2 by", [abs(c4_form.overlap - C4_PRODUCT_OVERLAP)], 1e-8),
+    ])
 
-    ok = worst_residual < 1e-8 and worst_backstep <= 1e-14 and c4_gap < 1e-8
-    details = (
-        f"worst zero_residual {worst_residual:.2e} (tol 1e-08), "
-        f"worst overlap backstep {worst_backstep:.2e} (tol 1e-14), "
-        f"C4 overlap off 1/2 by {c4_gap:.2e} (tol 1e-08)"
-    )
-    return ok, details
+
+def _residual_entropies(s, basis) -> list:
+    """Pair entropies of every residual left by measuring ``basis`` on ``s``."""
+    return [v for outcome in measure(s, basis) if outcome.residual is not None
+            for v in residual_pair_entropies(outcome.residual, basis.party, 4).values()]
 
 
 def criterion_robustness() -> tuple[bool, str]:
     """Single-party measurements never disentangle |M4> but do shatter |C4>."""
     m4 = catalog.make("M4")
-    worst_entropy_dev = 0.0
-    worst_equivariance = 1.0
-    for trial in range(50):
-        party = trial % 4
-        basis = random_basis(party, 2, np.random.default_rng([7, trial]))
-        for outcome in measure(m4, basis):
-            if outcome.residual is None:
-                continue
-            ents = residual_pair_entropies(outcome.residual, party, 4)
-            for v in ents.values():
-                worst_entropy_dev = max(worst_entropy_dev, abs(v - RESIDUAL_ENTROPY))
-        u = np.array(basis.vectors).T
-        worst_equivariance = min(worst_equivariance, equivariance_overlap(m4, party, u))
-
     c4 = catalog.make("C4")
-    comp_max = 0.0
-    for outcome in measure(c4, computational_basis(0)):
-        for v in residual_pair_entropies(outcome.residual, 0, 4).values():
-            comp_max = max(comp_max, abs(v))
-    pm_dev = 0.0
-    for outcome in measure(c4, plus_minus_basis(0)):
-        for v in residual_pair_entropies(outcome.residual, 0, 4).values():
-            pm_dev = max(pm_dev, abs(v - 1.0))
-
-    ok = (
-        worst_entropy_dev < 1e-8
-        and worst_equivariance > 1.0 - 1e-8
-        and comp_max < 1e-10
-        and pm_dev < 1e-10
-    )
-    details = (
-        f"M4 residual entropy dev {worst_entropy_dev:.2e} over 50 bases (tol 1e-08), "
-        f"equivariance overlap >= {worst_equivariance:.12f}; "
-        f"C4 computational residual entropies <= {comp_max:.2e}, "
-        f"plus/minus off 1 by {pm_dev:.2e} (tol 1e-10)"
-    )
-    return ok, details
+    bases = [random_basis(trial % 4, 2, np.random.default_rng([7, trial])) for trial in range(50)]
+    return verdict([
+        ("M4 residual entropy dev over 50 bases",
+         [abs(v - RESIDUAL_ENTROPY) for basis in bases for v in _residual_entropies(m4, basis)],
+         1e-8),
+        ("M4 equivariance overlap off 1 by",
+         [1.0 - equivariance_overlap(m4, basis.party, np.array(basis.vectors).T)
+          for basis in bases], 1e-8),
+        ("C4 computational residual entropies",
+         [abs(v) for v in _residual_entropies(c4, computational_basis(0))], 1e-10),
+        ("C4 plus/minus residual entropies off 1 by",
+         [abs(v - 1.0) for v in _residual_entropies(c4, plus_minus_basis(0))], 1e-10),
+    ])
 
 
 def criterion_invariants() -> tuple[bool, str]:
     """Spectra, probabilities, profiles and deviations behave under the stated symmetries."""
-    dims = (2, 2, 2, 2)
-    worst_spectrum = 0.0
-    worst_born = 0.0
-    worst_profile = 0.0
-    worst_deviation = 0.0
+    spectrum_devs = []
+    born_devs = []
+    profile_devs = []
+    deviation_devs = []
     for k in range(50):
         rng = np.random.default_rng([8, k])
-        s = random_state(dims, rng)
+        s = random_state((2, 2, 2, 2), rng)
 
         for pair in PAIRS:
-            a = np.linalg.eigvalsh(partial_trace(s, pair_parties(pair)))
-            b = np.linalg.eigvalsh(partial_trace(s, pair_parties(complement(pair))))
-            worst_spectrum = max(worst_spectrum, float(np.max(np.abs(a - b))))
+            a = np.linalg.eigvalsh(partial_trace(s, pair))
+            b = np.linalg.eigvalsh(partial_trace(s, complement(pair)))
+            spectrum_devs.append(np.abs(a - b))
 
         party = int(rng.integers(4))
         basis = random_basis(party, 2, rng)
-        total = math.fsum(o.probability for o in measure(s, basis))
-        worst_born = max(worst_born, abs(total - 1.0))
+        born_devs.append(abs(math.fsum(o.probability for o in measure(s, basis)) - 1.0))
 
         rotated = s
         for p in range(4):
             rotated = apply_local_unitary(rotated, p, random_unitary(2, rng))
         pa = profile(s)
         pb = profile(rotated)
-        worst_profile = max(
-            worst_profile,
-            max(abs(pa.entries[q] - pb.entries[q]) for q in PAIRS),
-        )
-        worst_deviation = max(
-            worst_deviation,
-            abs(ame_mod.ame_deviation(s).total - ame_mod.ame_deviation(rotated).total),
-        )
+        profile_devs.extend(abs(pa.entries[q] - pb.entries[q]) for q in PAIRS)
+        deviation_devs.append(
+            abs(ame_mod.ame_deviation(s).total - ame_mod.ame_deviation(rotated).total))
 
-    ok = (
-        worst_spectrum < 1e-10
-        and worst_born < 1e-12
-        and worst_profile < 1e-10
-        and worst_deviation < 1e-10
-    )
-    details = (
-        f"complement spectrum dev {worst_spectrum:.2e} (tol 1e-10), "
-        f"Born completeness dev {worst_born:.2e} (tol 1e-12), "
-        f"LU profile dev {worst_profile:.2e}, LU deviation dev {worst_deviation:.2e} "
-        f"(tol 1e-10)"
-    )
-    return ok, details
+    return verdict([
+        ("complement spectrum dev", spectrum_devs, 1e-10),
+        ("Born completeness dev", born_devs, 1e-12),
+        ("LU profile dev", profile_devs, 1e-10),
+        ("LU deviation dev", deviation_devs, 1e-10),
+    ])
 
 
 # One row per criterion, in run order: (number, name, check, budget in seconds).

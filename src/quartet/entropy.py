@@ -14,14 +14,6 @@ PAIRS = ("AB", "AC", "AD", "BC", "BD", "CD")
 EIG_FLOOR = 1e-15
 
 
-def pair_parties(pair: str) -> tuple:
-    """Party indices named by a two-letter pair label."""
-    pair = pair.upper()
-    if len(pair) != 2 or pair[0] == pair[1]:
-        raise DomainError(f"bad pair label {pair!r}")
-    return tuple(sorted(PARTY_LETTERS.index(c) for c in pair))
-
-
 def complement(pair: str) -> str:
     """The opposite pair of a four-party system, e.g. AB -> CD."""
     rest = [c for c in "ABCD" if c not in pair.upper()]
@@ -33,13 +25,13 @@ def complement(pair: str) -> str:
 def eigenvalue_entropy(lam):
     """Von Neumann entropy in bits of each spectrum along the last axis of ``lam``.
 
-    Eigenvalues in [-1e-10, 0) are treated as exact zeros; anything more
-    negative is rejected.  Eigenvalues below ``EIG_FLOOR`` contribute exactly zero.
+    Eigenvalues in [-1e-10, 0) are treated as exact zeros; anything more negative,
+    or NaN, is rejected.  Eigenvalues below ``EIG_FLOOR`` contribute exactly zero.
     An entropy is never negative: a pure spectrum whose eigenvalue rounds just
     above 1, such as [1 + 4.4e-16, 0], gives +0.0 like an exact one, never -0.0.
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.min(initial=0.0) < -1e-10:
+    if not lam.min(initial=0.0) >= -1e-10:
         raise DomainError("matrix is not positive semidefinite within tolerance")
     kept = np.where(lam >= EIG_FLOOR, lam, 1.0)
     return np.maximum(0.0 - (kept * np.log2(kept)).sum(axis=-1), 0.0)
@@ -65,7 +57,7 @@ def spectra(rho) -> np.ndarray:
 
 def entropy(rho) -> float:
     """Von Neumann entropy -tr(rho log2 rho) of a unit-trace Hermitian matrix."""
-    if abs(np.trace(rho).real - 1.0) > UNIT_NORM_TOL:
+    if not abs(np.trace(rho).real - 1.0) <= UNIT_NORM_TOL:
         raise DomainError(f"trace deviates from 1 by more than {UNIT_NORM_TOL}")
     return float(eigenvalue_entropy(np.linalg.eigvalsh(rho)))
 

@@ -21,7 +21,6 @@ from quartet.entropy import (
     eigenvalue_entropy,
     entropy,
     pair_entropies,
-    pair_parties,
     profile,
     spectra,
 )
@@ -32,12 +31,6 @@ TARGET = 1.0 + 0.5 * math.log2(3.0)
 
 def test_pair_labels_cover_all_pairs():
     assert PAIRS == ("AB", "AC", "AD", "BC", "BD", "CD")
-    assert pair_parties("AD") == (0, 3)
-    assert pair_parties("ca") == (0, 2)
-    with pytest.raises(DomainError):
-        pair_parties("AA")
-    with pytest.raises(DomainError):
-        pair_parties("ABC")
 
 
 def test_complement_pairs():
@@ -61,6 +54,11 @@ def test_eigenvalue_entropy_edge_cases():
     assert eigenvalue_entropy([1.0, 0.0, 1e-16]) == 0.0
     with pytest.raises(DomainError):
         eigenvalue_entropy([1.1, -0.1])
+
+
+def test_a_nan_eigenvalue_is_rejected():
+    with pytest.raises(DomainError):
+        eigenvalue_entropy([math.nan, 0.5, 0.5])
 
 
 def test_an_eigenvalue_rounded_above_one_gives_entropy_plus_zero():
@@ -144,6 +142,11 @@ def test_entropy_requires_unit_trace():
     assert entropy(rho) >= 0.0
     with pytest.raises(DomainError):
         entropy(np.eye(2))
+
+
+def test_a_nan_trace_is_rejected():
+    with pytest.raises(DomainError):
+        entropy(np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_pair_entropies_three_parties():
