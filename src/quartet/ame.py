@@ -1,11 +1,12 @@
-"""Distance of the cut reductions of a state of two or four parties of one local
+"""Distance of the balanced-cut reductions of a state of n >= 2 parties of one local
 dimension d from maximal mixing.
 
-For a cut such as AC|BD the state tensor t[i,j,k,l] becomes the matrix
-M[(i,k), (j,l)]; M M^dagger equals the reduction onto the row pair, so the
-per-cut deviation ||d^2 M M^dagger - I||_F^2 vanishes exactly when that pair is
-maximally mixed.  Three cuts cover all six pairs of a four-party pure state, and
-the one cut A_B, with d M M^dagger - I, covers a two-party one.
+A balanced cut (``core.balanced_cuts``) puts n // 2 parties on its rows and the rest on its
+columns: the cut AC|BD makes the tensor t[i,j,k,l] the matrix M[(i,k), (j,l)], and M M^dagger
+is the reduction onto AC.  The cut's deviation ||D M M^dagger - I||_F^2, with D = d^(n // 2),
+vanishes exactly when that reduction is maximally mixed; three cuts cover all six pairs of a
+four-party pure state.  For qubits the descent finds 0 at n = 2, 3, 5 and 6 and the derived 4
+at n = 4; its floors 15.572519083969 at n = 7 and 208 at n = 8 are measured, not derived.
 """
 
 import functools
@@ -15,18 +16,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ascent import multistart
-from .core import FOUR_PARTY_CUT_ROWS, DomainError, PureState, check_normalized, cut_indices
-
-CUTS = ("AB_CD", "AC_BD", "AD_BC")
-# Cut labels and row parties, by number of parties.
-_CUTS_BY_PARTIES = {2: (("A_B",), ((0,),)), 4: (CUTS, FOUR_PARTY_CUT_ROWS)}
+from .core import (MAX_PARTIES, PARTY_LETTERS, DomainError, PureState, balanced_cuts,
+                   check_normalized, cut_indices)
 
 
-def _cuts(dims) -> tuple:
-    """Cut labels and row parties of ``dims``: two or four parties of one local dimension >= 2."""
-    if len(dims) not in _CUTS_BY_PARTIES or len(set(dims)) != 1 or dims[0] < 2:
-        raise DomainError(f"two or four parties of one local dimension >= 2 required, got {dims}")
-    return _CUTS_BY_PARTIES[len(dims)]
+@functools.cache
+def _cuts(dims: tuple) -> tuple:
+    """Cut labels such as ``AB_CD`` and row parties (``core.balanced_cuts``) of ``dims``:
+    2 to ``MAX_PARTIES`` parties of one local dimension >= 2."""
+    n = len(dims)
+    if not 2 <= n <= MAX_PARTIES or len(set(dims)) != 1 or dims[0] < 2:
+        raise DomainError(f"{dims}: need 2 to {MAX_PARTIES} parties of one local dimension >= 2")
+    rows = balanced_cuts(n)
+    return tuple("_".join("".join(PARTY_LETTERS[p] for p in range(n) if (p in cut) == side)
+                          for side in (True, False)) for cut in rows), rows
 
 
 @functools.cache
@@ -40,7 +43,7 @@ def _kernel(dims: tuple) -> tuple:
 
 
 def _cut_deltas(amps, dims) -> tuple:
-    """Cut matrices M, deviations d * M M^dagger - I, and the scatter index of every cut.
+    """Cut matrices M, deviations D M M^dagger - I, and the scatter index of every cut.
 
     This is ``core.pair_cuts`` with its gather and identity looked up once per dims,
     so ``amps`` must be a flat array and ``dims`` a tuple.
@@ -82,7 +85,7 @@ def deviation_value_and_gradient_raw(amps, dims):
     """Total deviation and its Euclidean gradient (Re <ds|g> is the derivative) of raw
     amplitudes, a flat array; ``dims`` is a tuple.
 
-    Per cut the gradient is 4 d (d M M^dagger - I) M, scattered back to amplitudes.
+    Per cut the gradient is 4 D (D M M^dagger - I) M, scattered back to amplitudes.
     """
     m, delta, scatter = _cut_deltas(amps, dims)
     g = (delta @ m).reshape(-1)[scatter].sum(0)
@@ -107,7 +110,7 @@ def minimize_deviation(dims, restarts: int = 50, seed: int = 0, max_iters: int =
                        grad_tol: float = 1e-8, start: PureState = None) -> DeviationReport:
     """Multi-start descent of the total deviation over normalized states.
 
-    Supports two or four parties of equal local dimension.  Restart k draws a
+    Supports 2 to ``MAX_PARTIES`` parties of equal local dimension.  Restart k draws a
     Haar-random start from a (seed, k) sub-seed; an optional explicit ``start``
     is prepended.  Returns the lowest total found (first restart wins ties);
     ``restarts`` holds one ``ascent.RestartRecord`` per start.

@@ -1,5 +1,5 @@
 """Average pair-entropy objective of four qubits, its analytic gradient, and seeded multi-start
-Riemannian L-BFGS ascent on the unit sphere, also run by ``ame`` on ``(d,)*4`` and ``(d, d)``.
+Riemannian L-BFGS ascent on the unit sphere, also run by ``ame`` on n parties of one dimension.
 
 The objective extends off the sphere as the mean over the six pairs of
 -tr(rho log2 rho) with rho the raw (unrenormalized) pair reduction.  Its
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .entropy import EIG_FLOOR, eigenvalue_entropy, stacked_pair_entropies
-from .core import (FOUR_PARTY_CUT_ROWS, DomainError, PureState, ShapeError, check_count,
+from .core import (DomainError, PureState, ShapeError, balanced_cuts, check_count,
                    check_normalized, pair_cuts, random_state, scatter_cuts)
 
 # Line search: largest first trial step, backtracking factor, smallest step, Armijo coefficient.
@@ -59,11 +59,11 @@ def value_and_gradient_raw(amps: np.ndarray, dims):
     the logarithm; for a pure-state reduction the kernel eigenvectors never
     overlap the state, so the clamp only guards round-off.
     """
-    m, rho = pair_cuts(amps, dims, FOUR_PARTY_CUT_ROWS)
+    m, rho = pair_cuts(amps, dims, balanced_cuts(4))
     lam, vec = np.linalg.eigh(rho)
     weights = np.log2(np.maximum(lam, EIG_FLOOR)) + _INV_LN2
     log_term = (vec * weights[:, None, :]) @ vec.conj().transpose(0, 2, 1)
-    g = scatter_cuts(log_term @ m, dims, FOUR_PARTY_CUT_ROWS)
+    g = scatter_cuts(log_term @ m, dims, balanced_cuts(4))
     return _mean_pair_entropy(lam), (-4.0 / 6.0) * g
 
 

@@ -8,6 +8,7 @@ Householder reflection that takes e_0 to v up to a phase, with v itself as colum
 """
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -18,8 +19,6 @@ UNITARY_TOL = 1e-10
 UNIT_NORM_TOL = 1e-8
 MAX_PARTIES = 8
 PARTY_LETTERS = "ABCDEFGH"
-# Row pairs of the three pair cuts AB|CD, AC|BD, AD|BC of a four-party state.
-FOUR_PARTY_CUT_ROWS = ((0, 1), (0, 2), (0, 3))
 
 
 class ShapeError(ValueError):
@@ -98,6 +97,13 @@ def reduced_matrix(amps: np.ndarray, dims, keep) -> np.ndarray:
     rho = np.tensordot(t, t.conj(), axes=(traced, traced))
     d = math.prod(dims[i] for i in keep)
     return rho.reshape(d, d)
+
+
+@functools.cache
+def balanced_cuts(n: int) -> tuple:
+    """Row parties of each cut of ``n`` parties into n // 2 and the rest, in ``combinations``
+    order; for even n only the side that holds party 0, so four give AB|CD, AC|BD, AD|BC."""
+    return tuple(rows for rows in itertools.combinations(range(n), n // 2) if n % 2 or 0 in rows)
 
 
 @functools.lru_cache(maxsize=None)

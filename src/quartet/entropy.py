@@ -14,14 +14,6 @@ PAIRS = ("AB", "AC", "AD", "BC", "BD", "CD")
 EIG_FLOOR = 1e-15
 
 
-def complement(pair: str) -> str:
-    """The opposite pair of a four-party system, e.g. AB -> CD."""
-    rest = [c for c in "ABCD" if c not in pair.upper()]
-    if len(rest) != 2:
-        raise DomainError(f"{pair!r} is not a pair of four parties")
-    return "".join(rest)
-
-
 def eigenvalue_entropy(lam):
     """Von Neumann entropy in bits of each spectrum along the last axis of ``lam``.
 
@@ -32,7 +24,8 @@ def eigenvalue_entropy(lam):
     """
     lam = np.asarray(lam, dtype=float)
     if not lam.min(initial=0.0) >= -1e-10:
-        raise DomainError("matrix is not positive semidefinite within tolerance")
+        raise DomainError("eigenvalue is NaN" if np.isnan(lam).any()
+                          else "matrix is not positive semidefinite within tolerance")
     kept = np.where(lam >= EIG_FLOOR, lam, 1.0)
     return np.maximum(0.0 - (kept * np.log2(kept)).sum(axis=-1), 0.0)
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from quartet import ame, catalog
 from quartet.core import (
-    FOUR_PARTY_CUT_ROWS,
     DomainError,
     PureState,
     ShapeError,
     apply_local_unitary,
+    balanced_cuts,
     from_terms,
     pair_cuts,
     partial_trace,
@@ -28,14 +28,15 @@ ROW_PAIRS = {"AB_CD": (0, 1), "AC_BD": (0, 2), "AD_BC": (0, 3)}
 
 
 def test_cut_labels():
-    assert ame.CUTS == ("AB_CD", "AC_BD", "AD_BC")
+    assert list(ame.ame_deviation(catalog.make("M4")).per_cut) == list(ROW_PAIRS)
+    assert list(ame.ame_deviation(catalog.make("C3")).per_cut) == ["A_BC", "B_AC", "C_AB"]
 
 
 def test_reshape_preserves_norm():
     rng = np.random.default_rng(11)
     for _ in range(5):
         s = random_state(DIMS, rng)
-        m, _ = pair_cuts(s.amps, DIMS, FOUR_PARTY_CUT_ROWS)
+        m, _ = pair_cuts(s.amps, DIMS, balanced_cuts(4))
         assert m.shape == (3, 4, 4)
         for matrix in m:
             assert np.linalg.norm(matrix) == pytest.approx(1.0, abs=1e-12)
@@ -64,9 +65,9 @@ def test_reshape_rows_give_pair_reduction():
 
 
 def test_reshape_rejects_bad_input():
-    # The deviation reshapes four parties of equal dimension, and every cut to one shape.
+    # The deviation reshapes two or more parties of equal dimension, every cut to one shape.
     with pytest.raises(DomainError):
-        ame.ame_deviation(random_state((2, 2, 2), np.random.default_rng(0)))
+        ame.ame_deviation(random_state((2,), np.random.default_rng(0)))
     unequal = random_state((2, 2, 2, 3), np.random.default_rng(0))
     with pytest.raises(DomainError):
         ame.ame_deviation(unequal)
@@ -76,7 +77,7 @@ def test_reshape_rejects_bad_input():
 
 def test_ame44_reshapes_are_unitary_up_to_scale():
     s = catalog.make("AME44")
-    m, _ = pair_cuts(s.amps, s.dims, FOUR_PARTY_CUT_ROWS)
+    m, _ = pair_cuts(s.amps, s.dims, balanced_cuts(4))
     for matrix in m:
         assert np.allclose(16 * matrix @ matrix.conj().T, np.eye(16), atol=1e-12)
 
@@ -84,7 +85,7 @@ def test_ame44_reshapes_are_unitary_up_to_scale():
 def test_deviation_zero_state():
     dev = ame.ame_deviation(from_terms(DIMS, {(0, 0, 0, 0): 1.0}))
     # delta = 4|00><00| - I per cut: 3^2 + 3 * 1 = 12.
-    for cut in ame.CUTS:
+    for cut in ROW_PAIRS:
         assert dev.per_cut[cut] == pytest.approx(12.0, abs=1e-12)
     assert dev.total == pytest.approx(36.0, abs=1e-12)
 
@@ -96,7 +97,7 @@ def test_deviation_named_states():
     assert psi.per_cut["AD_BC"] == pytest.approx(4.0, abs=1e-12)
 
     m4 = ame.ame_deviation(catalog.make("M4"))
-    for cut in ame.CUTS:
+    for cut in ROW_PAIRS:
         assert m4.per_cut[cut] == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert m4.total == pytest.approx(4.0, abs=1e-12)
 
@@ -153,7 +154,7 @@ def test_two_party_deviation_matches_derived_values():
         assert abs(ame.ame_deviation(s).total - 2 * math.cos(2 * theta) ** 2) <= 1e-14
     qutrits = from_terms((3, 3), {(i, i): 1 / math.sqrt(3) for i in range(3)})
     assert ame.ame_deviation(qutrits).total < 1e-24
-    for dims in ((2, 2, 2), (2, 3)):
+    for dims in ((2,), (2, 3)):
         with pytest.raises(DomainError):
             ame.ame_deviation(random_state(dims, np.random.default_rng(0)))
 
@@ -217,8 +218,10 @@ def test_minimize_explicit_start():
 def test_minimize_validation():
     with pytest.raises(DomainError):
         ame.minimize_deviation((2, 3))
-    with pytest.raises(DomainError):
-        ame.minimize_deviation((2, 2, 2))
+    # Nine parties fail on the cut rule's own bound, before any cut is listed or state drawn.
+    for dims in ((2,), (2, 2, 2, 3), (2,) * 9):
+        with pytest.raises(DomainError, match="need 2 to 8 parties of one local dimension"):
+            ame.minimize_deviation(dims)
     with pytest.raises(DomainError):
         ame.minimize_deviation((2, 2), restarts=0)
     with pytest.raises(ShapeError):
@@ -230,3 +233,25 @@ def test_minimize_validation():
                    {"restarts": 2.5}, {"restarts": True}, {"seed": -1}):
         with pytest.raises(DomainError):
             ame.minimize_deviation((2, 2), **kwargs)
+
+
+def _ring_graph_state(n):
+    # Amplitudes (-1)^(sum_i x_i x_{i+1 mod n}) / sqrt(2^n): the graph state of an n-ring.
+    x = np.array(list(np.ndindex((2,) * n)))
+    return PureState((2,) * n, (-1.0) ** (x * np.roll(x, -1, axis=1)).sum(1) / math.sqrt(2**n))
+
+
+def test_ghz_and_five_qubit_ring_are_exactly_ame():
+    # GHZ has both one-party reductions of each cut maximally mixed; the five-qubit ring
+    # graph state is AME(5, 2), every two-party reduction maximally mixed.
+    assert ame.ame_deviation(catalog.make("C3")).total < 1e-28
+    ring = ame.ame_deviation(_ring_graph_state(5))
+    assert len(ring.per_cut) == 10 and list(ring.per_cut)[0] == "AB_CDE"
+    assert ring.total < 1e-28
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5, (2,) * 6, (3, 3, 3)], ids=str)
+def test_minimize_reaches_zero_where_an_ame_state_exists(dims):
+    rep = ame.minimize_deviation(dims, restarts=5, seed=0)
+    assert rep.floor < 1e-12
+    assert rep.floor == pytest.approx(math.fsum(rep.per_cut.values()), abs=1e-12)

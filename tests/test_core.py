@@ -17,6 +17,7 @@ from quartet.core import (
     ShapeError,
     apply_kept_operator,
     apply_local_unitary,
+    balanced_cuts,
     check_normalized,
     from_terms,
     partial_trace,
@@ -131,6 +132,19 @@ def test_complementary_reductions_share_spectrum():
         a = np.linalg.eigvalsh(partial_trace(s, (0, 1)))
         b = np.linalg.eigvalsh(partial_trace(s, (2, 3)))
         assert np.max(np.abs(a - b)) < 1e-10
+
+
+def test_balanced_cuts_list_each_cut_once_from_party_0_when_even():
+    assert [len(balanced_cuts(n)) for n in range(2, 9)] == [1, 3, 3, 10, 10, 35, 35]
+    assert balanced_cuts(2) == ((0,),)
+    assert balanced_cuts(4) == ((0, 1), (0, 2), (0, 3))
+    for n in range(2, 9):
+        cuts = balanced_cuts(n)
+        assert all(len(rows) == n // 2 for rows in cuts)
+        assert n % 2 or all(0 in rows for rows in cuts)
+        # A cut is the unordered pair of its sides; none appears twice.
+        sides = {frozenset((rows, tuple(q for q in range(n) if q not in rows))) for rows in cuts}
+        assert len(sides) == len(cuts)
 
 
 def test_eigh_order_reconstruction_orthonormality():

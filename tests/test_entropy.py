@@ -8,8 +8,10 @@ import pytest
 from quartet.catalog import make
 from quartet.core import (
     DomainError,
+    PARTY_LETTERS,
     PureState,
     apply_local_unitary,
+    balanced_cuts,
     partial_trace,
     random_state,
     random_unitary,
@@ -17,7 +19,6 @@ from quartet.core import (
 from quartet.entropy import (
     PAIRS,
     EntropyProfile,
-    complement,
     eigenvalue_entropy,
     entropy,
     pair_entropies,
@@ -31,13 +32,6 @@ TARGET = 1.0 + 0.5 * math.log2(3.0)
 
 def test_pair_labels_cover_all_pairs():
     assert PAIRS == ("AB", "AC", "AD", "BC", "BD", "CD")
-
-
-def test_complement_pairs():
-    assert complement("AB") == "CD"
-    assert complement("BD") == "AC"
-    with pytest.raises(DomainError):
-        complement("AE")
 
 
 def test_eigenvalue_entropy_known_values():
@@ -57,8 +51,14 @@ def test_eigenvalue_entropy_edge_cases():
 
 
 def test_a_nan_eigenvalue_is_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="eigenvalue is NaN"):
         eigenvalue_entropy([math.nan, 0.5, 0.5])
+
+
+def test_a_negative_eigenvalue_keeps_the_psd_message():
+    for lam in ([1.1, -0.1], [[0.5, 0.5], [1.1, -0.1]]):
+        with pytest.raises(DomainError, match="not positive semidefinite"):
+            eigenvalue_entropy(lam)
 
 
 def test_an_eigenvalue_rounded_above_one_gives_entropy_plus_zero():
@@ -188,9 +188,12 @@ def test_entries_bounded_and_complement_equal():
     for _ in range(25):
         s = random_state((2, 2, 2, 2), rng)
         p = profile(s)
-        for pair, v in p.entries.items():
+        for v in p.entries.values():
             assert -1e-12 <= v <= 2.0 + 1e-12
-            assert abs(v - p.entries[complement(pair)]) < 1e-10
+        for rows in balanced_cuts(4):
+            pair, rest = ("".join(PARTY_LETTERS[q] for q in range(4) if (q in rows) == side)
+                          for side in (True, False))
+            assert abs(p.entries[pair] - p.entries[rest]) < 1e-10
 
 
 def test_profile_invariances():

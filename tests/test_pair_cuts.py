@@ -11,9 +11,9 @@ import pytest
 from quartet import ame, ascent
 from quartet.entropy import EIG_FLOOR
 from quartet.core import (
-    FOUR_PARTY_CUT_ROWS,
     ShapeError,
     apply_kept_operator,
+    balanced_cuts,
     pair_cuts,
     partial_trace,
     random_state,
@@ -23,19 +23,24 @@ from quartet.core import (
 
 ALL_DIMS = ((2, 2), (2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4))
 FOUR_PARTY_DIMS = ALL_DIMS[1:]
+# Odd and larger party counts, whose cuts come from the same balanced-cut rule.
+MORE_PARTY_DIMS = ((2, 2, 2), (3, 3, 3), (2,) * 5, (2,) * 6)
 INV_LN2 = 1.0 / math.log(2.0)
 
 
 def reference_deviation(amps, dims):
-    rows = ((0,),) if len(dims) == 2 else FOUR_PARTY_CUT_ROWS
+    # Every set of n // 2 parties; for even n each cut then appears once from each side,
+    # and both sides give the same term, so the sum counts it twice.
+    n = len(dims)
     t = amps.reshape(dims)
     value, g = 0.0, np.zeros(amps.size, dtype=complex)
-    for keep in rows:
+    for keep in itertools.combinations(range(n), n // 2):
         d = math.prod(dims[a] for a in keep)
         delta = d * reduced_matrix(amps, dims, keep) - np.eye(d)
         value += float(np.sum(np.abs(delta) ** 2))
         g += 4.0 * d * apply_kept_operator(t, delta, keep).reshape(-1)
-    return value, g
+    sides = 1 if n % 2 else 2
+    return value / sides, g / sides
 
 
 def reference_entropy(amps, dims, floor=EIG_FLOOR):
@@ -62,7 +67,7 @@ def assert_close(actual, expected, tol=1e-12):
     assert float(np.max(np.abs(np.asarray(actual) - expected))) <= tol * scale
 
 
-@pytest.mark.parametrize("dims", ALL_DIMS, ids=str)
+@pytest.mark.parametrize("dims", ALL_DIMS + MORE_PARTY_DIMS, ids=str)
 def test_deviation_matches_reference(dims):
     for k in range(4):
         amps = sample_amps(dims, k)
@@ -73,11 +78,11 @@ def test_deviation_matches_reference(dims):
         assert_close(g, ref_g)
 
 
-@pytest.mark.parametrize("dims", ALL_DIMS[:3], ids=str)
+@pytest.mark.parametrize("dims", ALL_DIMS[:3] + MORE_PARTY_DIMS, ids=str)
 def test_deviation_is_bitwise_the_public_cut_kernels(dims):
     # The deviation caches its gather, scatter and identity per dims; it must stay
-    # bitwise the composition of pair_cuts and scatter_cuts.
-    rows = ((0,),) if len(dims) == 2 else FOUR_PARTY_CUT_ROWS
+    # bitwise the composition of pair_cuts and scatter_cuts over the balanced cuts.
+    rows = balanced_cuts(len(dims))
     for k in range(4):
         amps = sample_amps(dims, k)
         m, rho = pair_cuts(amps, dims, rows)
@@ -118,17 +123,17 @@ def test_deviation_is_purity_sum_identity():
 @pytest.mark.parametrize("dims", FOUR_PARTY_DIMS, ids=str)
 def test_cut_spectra_equal_both_complementary_pair_spectra(dims):
     s = random_state(dims, np.random.default_rng([42, dims[0]]))
-    _, rho = pair_cuts(s.amps, dims, FOUR_PARTY_CUT_ROWS)
+    _, rho = pair_cuts(s.amps, dims, balanced_cuts(4))
     spectra = np.linalg.eigvalsh(rho)
-    for keep, lam in zip(FOUR_PARTY_CUT_ROWS, spectra):
+    for keep, lam in zip(balanced_cuts(4), spectra):
         other = tuple(a for a in range(4) if a not in keep)
         for pair in (keep, other):
             expected = np.linalg.eigvalsh(partial_trace(s, pair))
             assert np.max(np.abs(lam - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("dims, rows", [((2, 2, 2, 2), FOUR_PARTY_CUT_ROWS),
-                                         ((4, 4, 4, 4), FOUR_PARTY_CUT_ROWS),
+@pytest.mark.parametrize("dims, rows", [((2, 2, 2, 2), balanced_cuts(4)),
+                                         ((4, 4, 4, 4), balanced_cuts(4)),
                                          ((2, 3, 4), ((2,),)),
                                          ((2, 2, 2), ((2,), (1,), (0,)))], ids=str)
 def test_a_stack_of_states_gives_each_single_call_bitwise(dims, rows):
@@ -146,14 +151,14 @@ def test_scatter_is_the_adjoint_of_the_gather():
     dims = (3, 3, 3, 3)
     x = rng.standard_normal(81) + 1j * rng.standard_normal(81)
     y = rng.standard_normal((3, 9, 9)) + 1j * rng.standard_normal((3, 9, 9))
-    m, _ = pair_cuts(x, dims, FOUR_PARTY_CUT_ROWS)
-    assert np.vdot(m, y) == pytest.approx(np.vdot(x, scatter_cuts(y, dims, FOUR_PARTY_CUT_ROWS)),
+    m, _ = pair_cuts(x, dims, balanced_cuts(4))
+    assert np.vdot(m, y) == pytest.approx(np.vdot(x, scatter_cuts(y, dims, balanced_cuts(4))),
                                           abs=1e-12)
 
 
 def test_cuts_of_different_shapes_are_rejected():
     with pytest.raises(ShapeError):
-        pair_cuts(np.ones(24), (2, 3, 2, 2), FOUR_PARTY_CUT_ROWS)
+        pair_cuts(np.ones(24), (2, 3, 2, 2), balanced_cuts(4))
 
 
 def test_entropy_evaluation_makes_one_batched_eigendecomposition(monkeypatch):
