@@ -38,9 +38,19 @@ def check_count(name: str, value, minimum: int = 0) -> None:
 
 
 def check_normalized(amps) -> None:
-    """Reject amplitudes ``(..., R)`` with a squared norm off 1 by more than UNIT_NORM_TOL, or NaN."""
-    if not np.all(np.abs(np.linalg.norm(amps, axis=-1) ** 2 - 1.0) <= UNIT_NORM_TOL):
-        raise DomainError(f"squared norm deviates from 1 by more than {UNIT_NORM_TOL}")
+    """Reject amplitudes ``(..., R)`` whose squared norm is off 1 by > UNIT_NORM_TOL, NaN or inf."""
+    with np.errstate(over="ignore"):
+        if not np.all(np.abs(np.linalg.norm(amps, axis=-1) ** 2 - 1.0) <= UNIT_NORM_TOL):
+            raise DomainError(f"squared norm deviates from 1 by more than {UNIT_NORM_TOL}")
+
+
+def check_unitary(u) -> None:
+    """Reject a matrix or stack ``(..., d, d)`` unless each ||u u^dagger - I||_F < UNITARY_TOL."""
+    u = np.asarray(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]), axis=(-2, -1))
+    if not (error < UNITARY_TOL).all():
+        raise DomainError("matrix is not unitary within tolerance")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -162,8 +172,7 @@ def apply_local_unitary(s: PureState, party, u) -> PureState:
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise ShapeError(f"expected a {d}x{d} matrix for party {party}, got {u.shape}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) >= UNITARY_TOL:
-        raise DomainError("matrix is not unitary within tolerance")
+    check_unitary(u)
     return PureState(s.dims, apply_kept_operator(s.tensor(), u, (party,)).reshape(-1))
 
 
@@ -184,11 +193,22 @@ def random_state(dims, rng) -> PureState:
 
 
 def random_unitary(d: int, rng) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    """Haar-random d x d unitary (d >= 2): ``unitary_from_normals``, last column phase uniform."""
+    check_count("dim", d, 2)
+    u = unitary_from_normals(rng.standard_normal(d * (d + 1) - 2), d)
+    u[:, -1] *= np.exp(2j * np.pi * rng.random())
+    return u
+
+
+def unitary_from_normals(normals: np.ndarray, d: int) -> np.ndarray:
+    """Unitaries ``(..., d, d)`` from normals ``(..., d(d + 1) - 2)``, each column Haar up to
+    phase: column 0 is normals[..., :d] + i normals[..., d:2d], normalized, a Householder
+    reflection completes it, and a unitary of dimension d - 1 drawn likewise from the rest
+    rotates its other columns (Stewart, SIAM J. Numer. Anal. 17, 403 (1980))."""
+    u = unitary_from_first_column(normals[..., :d] + 1j * normals[..., d:2 * d])
+    if d > 2:
+        u[..., :, 1:] = u[..., :, 1:] @ unitary_from_normals(normals[..., 2 * d:], d - 1)
+    return u
 
 
 def unitary_from_first_column(v) -> np.ndarray:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DomainError, PARTY_LETTERS, PureState, ShapeError, check_count,
-                   check_normalized, pair_cuts, party_index, unitary_from_first_column)
+                   check_normalized, check_unitary, pair_cuts, party_index, unitary_from_normals)
 from .entropy import eigenvalue_entropy, spectra, stacked_pair_entropies
 
 PROB_FLOOR = 1e-14
-ORTHO_TOL = 1e-10
 FRAGILE_TOL = 1e-10
 # A robustness report reads a branch of smaller Born probability from its own contracted
 # vector rather than from the pair reductions (see ``robustness_report``).
@@ -27,14 +26,6 @@ SIGMA_PROB = 0.05
 # A robustness pass holds every basis of its parties at once, so the trial count is bounded.
 MAX_TRIALS = 4096
 _PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
-
-def _check_orthonormal(vectors: np.ndarray) -> None:
-    """Reject any basis in a stack ``(..., d, d)`` whose rows are not orthonormal."""
-    gram = vectors @ vectors.conj().swapaxes(-1, -2)
-    # Written so that a NaN entry fails the test too.
-    if not np.max(np.abs(gram - np.eye(vectors.shape[-1]))) < ORTHO_TOL:
-        raise DomainError("basis vectors are not orthonormal within tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +39,7 @@ class MeasurementBasis:
         vectors = np.array(self.vectors, dtype=complex)
         if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
             raise ShapeError(f"basis must be square, got shape {vectors.shape}")
-        _check_orthonormal(vectors)
+        check_unitary(vectors)
         # The range check needs a state; _branches makes it.
         check_count("party", self.party)
         vectors.setflags(write=False)
@@ -68,23 +59,11 @@ def plus_minus_basis(party: int) -> MeasurementBasis:
     return MeasurementBasis(party, _PLUS_MINUS)
 
 
-def _gaussian_bases(normals: np.ndarray, d: int) -> np.ndarray:
-    """Haar-random bases ``(..., d, d)`` from normals ``(..., d(d + 1) - 2)``: the first d
-    draws are the first vector's real parts and the next d its imaginary parts.  A
-    Householder reflection completes it, its other columns rotated by a basis of
-    dimension d - 1 built likewise from the remaining draws (Stewart, SIAM J. Numer.
-    Anal. 17, 403 (1980)), so that every vector, not only the first, is Haar-uniform."""
-    u = unitary_from_first_column(normals[..., :d] + 1j * normals[..., d:2 * d])
-    if d > 2:
-        rest = _gaussian_bases(normals[..., 2 * d:], d - 1)
-        u[..., :, 1:] = u[..., :, 1:] @ rest.swapaxes(-1, -2)
-    return u.swapaxes(-1, -2)
-
-
 def random_basis(party: int, dim: int, rng) -> MeasurementBasis:
     """A Haar-random basis from one draw of dim(dim + 1) - 2 normals; dim is at least 2."""
     check_count("dim", dim, 2)
-    return MeasurementBasis(party, _gaussian_bases(rng.standard_normal(dim * (dim + 1) - 2), dim))
+    normals = rng.standard_normal(dim * (dim + 1) - 2)
+    return MeasurementBasis(party, unitary_from_normals(normals, dim).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +174,8 @@ def _party_bases(parties: tuple, d: int, trials: int, seed: int) -> np.ndarray:
     normals = np.stack([np.random.default_rng([seed, p]).standard_normal(draws) for p in parties])
     named = np.array([np.eye(d)] + ([_PLUS_MINUS] if d == 2 else []), dtype=complex)
     bases = np.concatenate([np.broadcast_to(named, (len(parties),) + named.shape),
-                            _gaussian_bases(normals, d)], axis=1)
-    _check_orthonormal(bases)
+                            unitary_from_normals(normals, d).swapaxes(-1, -2)], axis=1)
+    check_unitary(bases)
     return bases
 
 

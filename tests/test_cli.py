@@ -122,6 +122,17 @@ def test_unnormalized_state_file(tmp_path, capsys, command):
     assert err.startswith("error:") and "norm" in err and "Traceback" not in err
 
 
+# Finite amplitudes whose norm overflows fail the norm check without a warning,
+# which this suite's filterwarnings = error would raise.
+@pytest.mark.parametrize("command", STATE_COMMANDS)
+def test_a_state_file_whose_norm_overflows(tmp_path, capsys, command):
+    path = tmp_path / "huge_norm.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2, 2], "amps": [[1e200, 0.0]] * 16}))
+    code, payload, err = run_cli(capsys, [command, str(path)] + STATE_COMMANDS[command])
+    assert code == 1 and payload is None
+    assert err.startswith("error: squared norm deviates") and "Traceback" not in err
+
+
 def test_malformed_state_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

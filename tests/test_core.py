@@ -19,6 +19,7 @@ from quartet.core import (
     apply_local_unitary,
     balanced_cuts,
     check_normalized,
+    check_unitary,
     from_terms,
     partial_trace,
     party_index,
@@ -197,6 +198,24 @@ def test_random_state_seeded_and_normalized():
     assert abs(np.linalg.norm(a.amps) - 1.0) < 1e-12
 
 
+def test_check_unitary_rejects_any_matrix_of_a_stack():
+    stack = np.stack([random_unitary(3, np.random.default_rng(k)) for k in range(4)])
+    check_unitary(stack)
+    check_unitary(stack[0])
+    for bad in ((1.0 + 4e-11) * np.eye(3), np.full((3, 3), np.nan), np.full((3, 3), np.inf),
+                np.full((3, 3), 1e200)):
+        damaged = stack.copy()
+        damaged[2] = bad
+        with pytest.raises(DomainError, match="not unitary"):
+            check_unitary(damaged)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_random_unitary_rejects_a_dimension_below_two(d):
+    with pytest.raises(DomainError, match="dim must be >= 2"):
+        random_unitary(d, np.random.default_rng(5))
+
+
 def test_random_unitary_is_unitary_and_seeded():
     rng = np.random.default_rng(31)
     for d in (2, 3, 4):
@@ -240,6 +259,17 @@ def test_random_unitary_has_haar_moments(d):
     weights = np.abs(np.array([random_unitary(d, rng) for _ in range(2000)])) ** 2
     assert_mean_within_five_standard_errors(weights, 1.0 / d)
     assert_mean_within_five_standard_errors(weights**2, 2.0 / (d * (d + 1)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_unitary_has_haar_phases(d):
+    # Haar on U(d), not only Haar columns up to phase: every entry u_jk and tr U^2 have mean 0
+    # (E|tr U^2|^2 = 2). A sampler that fixes the last column's phase reads E[tr U^2] = 1/2 at d = 2.
+    rng = np.random.default_rng([107, d])
+    u = np.array([random_unitary(d, rng) for _ in range(2000)])
+    for samples in (u.reshape(len(u), -1), np.trace(u @ u, axis1=1, axis2=2)):
+        assert_mean_within_five_standard_errors(samples.real, 0.0)
+        assert_mean_within_five_standard_errors(samples.imag, 0.0)
 
 
 def test_party_index_letters_and_bounds():
@@ -307,8 +337,13 @@ def test_state_json_rejects_malformed(payload):
         ({"dims": [True, 2], "amps": [[1, 0], [0, 0]]}, '"dims" must be a list of integers'),
         ({"dims": [], "amps": []}, "a state has 1 to 8 parties, got 0"),
         ({"dims": [2] * 9, "amps": []}, "a state has 1 to 8 parties, got 9"),
+        ({"dims": [1, 2], "amps": [[1, 0], [0, 0]]}, '"dims" entries must all be >= 2'),
+        ({"dims": [-2, -2], "amps": [[1, 0]] + [[0, 0]] * 3}, '"dims" entries must all be >= 2'),
+        # Past Python's integer-to-text limit a dim cannot be printed, and is not.
+        ({"dims": [-(10**5000), 0], "amps": []}, '"dims" entries must all be >= 2'),
     ],
-    ids=["string", "bool", "bool-dim", "no-parties", "nine-parties"],
+    ids=["string", "bool", "bool-dim", "no-parties", "nine-parties", "dim-1", "negative-dims",
+         "unprintable-dim"],
 )
 def test_state_json_names_what_is_malformed(payload, message):
     with pytest.raises(DomainError, match=message):
@@ -377,7 +412,8 @@ def test_check_normalized_rejects_any_state_of_a_stack():
     stack = np.stack([random_state((2, 3), np.random.default_rng(k)).amps for k in range(3)])
     check_normalized(stack)
     check_normalized(stack[0] * np.sqrt(1.0 + 0.5 * UNIT_NORM_TOL))
-    for bad in (2.0, 0.0, np.sqrt(1.0 + 2.0 * UNIT_NORM_TOL), np.nan):
+    # 1e200 overflows the norm, which fails the check without a warning.
+    for bad in (2.0, 0.0, np.sqrt(1.0 + 2.0 * UNIT_NORM_TOL), np.nan, 1e200):
         scaled = stack.copy()
         scaled[1] *= bad
         with pytest.raises(DomainError, match="squared norm deviates from 1 by more than 1e-08"):

@@ -87,6 +87,42 @@ def test_random_basis_rejects_a_dimension_below_two(dim):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_unitary_and_random_basis_share_one_sampler(d):
+    # random_unitary gives the basis's last column a uniform phase from one more draw.
+    for seed in range(5):
+        u = random_unitary(d, np.random.default_rng(seed))
+        basis = random_basis(0, d, np.random.default_rng(seed)).vectors.T
+        assert np.array_equal(u[:, :-1], basis[:, :-1])
+        phase = np.vdot(basis[:, -1], u[:, -1])
+        assert abs(abs(phase) - 1) < 1e-12
+        assert np.allclose(u[:, -1], phase * basis[:, -1], rtol=0, atol=1e-12)
+
+
+# Every entry point that takes a unitary gives the verdict of the one check, core.check_unitary.
+UNITARY_CALLS = {
+    "apply_local_unitary": lambda u: apply_local_unitary(_M4, 1, u),
+    "MeasurementBasis": lambda u: MeasurementBasis(1, u),
+    "equivariance_overlap": lambda u: equivariance_overlap(_M4, 1, u),
+}
+
+
+@pytest.mark.parametrize("call", UNITARY_CALLS)
+@pytest.mark.parametrize("matrix, unitary", [
+    (np.eye(2), True),
+    # Frobenius error 1.13e-10, at or above the 1e-10 tolerance; largest entry error 8e-11.
+    ((1.0 + 4e-11) * np.eye(2), False),
+    (np.full((2, 2), np.nan), False),
+    (np.full((2, 2), np.inf), False),
+], ids=["exact", "1+4e-11", "nan", "inf"])
+def test_every_entry_point_gives_one_unitarity_verdict(call, matrix, unitary):
+    if unitary:
+        UNITARY_CALLS[call](matrix)
+    else:
+        with pytest.raises(DomainError, match="not unitary"):
+            UNITARY_CALLS[call](matrix)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_random_bases_have_haar_moments(d):
     # For a Haar basis each |<e_j|b_k>|^2 is Beta(1, d - 1) distributed, with mean 1/d
     # and second moment 2/(d(d + 1)), for the first basis vector and every other alike.
