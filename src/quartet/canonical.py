@@ -1,22 +1,15 @@
-"""Closest-product-state canonical form via alternating single-party maximization.
+"""Closest-product-state canonical form: alternating sweeps find each start's basin,
+and ``ascent.ascend`` converges the start that wins.
 
 The overlap N = |<s|a_1 ... a_n>|^2 is maximized one party at a time; with the
 other parties fixed, the exact maximizer is the normalized contraction of the
 state against them, so a party step never lowers the overlap (the higher-order
-power method of De Lathauwer, De Moor and Vandewalle, 2000).  That method
-converges linearly: each sweep's drift, the largest move of a contraction off
-its party's vector, shrinks by a nearly constant ratio r.  So from sweep
-``EXTRAPOLATE_FROM`` on, a start whose ratio is stable (inside
-``EXTRAPOLATE_RATIOS`` and within ``EXTRAPOLATE_STABILITY`` of the last
-sweep's) tries the geometric (Aitken) step v + r / (1 - r) (v - v_prev) on
-every party vector, normalized, and keeps it unless it lowers the overlap by
-more than ``EXTRAPOLATE_TIE`` of itself; the step only shortens the search,
-and the drift stopping rule is that of the plain sweep.  The converged product
-vectors define per-party unitaries that rotate each maximizer to |0>, after
-which every coefficient with a single party excited to level 1 vanishes at a
-true fixed point.  A start stops only at the end of a plain sweep, which ends
-on the last party's normalized contraction v / |v|, so the |0...0>
-coefficient <v / |v|, v> = |v| is real nonnegative as it stands.
+power method of De Lathauwer, De Moor and Vandewalle, 2000).  It converges only
+linearly, slowest near states whose best product states form a continuum
+(|M4>, Bell pairs, W), so ``ascend``, which converges superlinearly, finishes
+the winning start.  Its product vectors define per-party unitaries that rotate
+each maximizer to |0>, after which every coefficient with a single party
+excited to level 1 vanishes at a true fixed point.
 
 Every state gets the same starts: |0...0>, then the rows of one random draw keyed
 ``[seed, *STARTS_KEY]``.  By SeedSequence zero padding, ``[seed]`` and ``[seed, 0]``
@@ -31,22 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ascent import ascend
 from .core import (DomainError, PureState, apply_kept_operator, check_count, check_normalized,
                    unitary_from_first_column)
 
 DEFAULT_RESTARTS = 16
-SWEEP_RESIDUAL_TOL = 1e-10
+SWEEP_RESIDUAL_TOL = 1e-4
 MAX_SWEEPS = 500
-# The extrapolation step: the first sweep that may take it, the open range of
-# drift ratios it trusts, the relative change of the ratio between two sweeps
-# below which it counts as stable, and the relative overlap fall it may cause.
-# Near a fixed point the overlap is flat at float resolution, so "strictly
-# above" would be decided by rounding; the tie stays far below criterion 6's
-# overlap backstep of 1e-14.
-EXTRAPOLATE_FROM = 20
-EXTRAPOLATE_RATIOS = (0.3, 0.999)
-EXTRAPOLATE_STABILITY = 0.2
-EXTRAPOLATE_TIE = 4e-15
 RESIDUAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-14
 TIE_TOL = 1e-12
@@ -67,6 +51,23 @@ def _outer(a, b):
     return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
+def _layout(t: np.ndarray):
+    """Each party's offset and slice in a row of party vectors, and ``t`` as ``(D/d_p, d_p)``."""
+    offsets = np.cumsum((0,) + t.shape[:-1])
+    parts = [slice(a, a + d) for a, d in zip(offsets.tolist(), t.shape)]
+    fronts = [np.moveaxis(t, p, -1).reshape(-1, d) for p, d in enumerate(t.shape)]
+    return offsets, parts, fronts
+
+
+def _afters(conj: np.ndarray, parts):
+    """``after[p]``: the row-wise product of the parties after p in ``conj`` (ones if none)."""
+    n = len(parts)
+    after = [None] * (n - 1) + [None if n > 1 else np.ones((len(conj), 1))]
+    for p in range(n - 1, 0, -1):
+        after[p - 1] = _outer(conj[:, parts[p]], after[p])
+    return after
+
+
 def _starts(dims, restarts, seed):
     """The ``(restarts + 1, sum(d))`` block of starts: |0...0>, then the rows of one
     ``standard_normal((restarts, 2, sum(d)))`` draw, real parts then imaginary parts,
@@ -83,18 +84,16 @@ def _starts(dims, restarts, seed):
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """What one start of the alternating search did.
+    """What one start of the alternating search did, before any polish.
 
     ``stop_reason`` is ``settled`` (a sweep after the first moved no contraction
-    off its axis by more than ``SWEEP_RESIDUAL_TOL``) or ``max_sweeps`` (stopped
-    at ``MAX_SWEEPS`` without settling).  ``extrapolations`` counts the
-    geometric steps the start kept.  A start whose first contraction vanishes
-    reads ``settled`` at sweep 2 with overlap 0.0 and no steps.
+    off its axis by more than ``SWEEP_RESIDUAL_TOL``: the start found its basin)
+    or ``max_sweeps``.  A start whose first contraction vanishes reads
+    ``settled`` at sweep 2 with overlap 0.0.
     """
 
     restart: int
     sweeps: int
-    extrapolations: int
     overlap: float
     stop_reason: str
 
@@ -104,50 +103,33 @@ def _alternate(t: np.ndarray, vectors: np.ndarray):
 
     ``vectors`` holds every start's party vectors side by side as one ``(R, sum(d))``
     block, party q's entries starting at offset sum(d_p for p < q), and is swept
-    in place.  Every row starts at sweep 1, and stops once a sweep after the
-    first moves no contraction off its current axis by more than
-    ``SWEEP_RESIDUAL_TOL`` or at ``MAX_SWEEPS``.  That drift bounds the
-    single-excitation coefficients of the final form, so stopping on it (rather
-    than on the overlap increment, which saturates at float resolution long
-    before the vectors settle) is what keeps ``zero_residual`` small.  A row
-    whose first contraction vanishes stays zero, with drift 0.
+    in place.  Every row starts at sweep 1, and stops on its basin, once a sweep
+    after the first moves no contraction off its current axis by more than
+    ``SWEEP_RESIDUAL_TOL``, or at ``MAX_SWEEPS``.  A row whose first contraction
+    vanishes stays zero, with drift 0.
 
     A party step is one matmul of the row-wise outer product of the other
     parties' conjugated vectors against the state held as a ``(D/d_p, d_p)``
     matrix; it writes the normalized contraction into its party's slice of the
     block and the raw one into a block of the same shape.  A copy of the block
-    taken at the start of the sweep, and its conjugate, give the parties after
-    p, the drift of every party (taken once per sweep) and the extrapolation
-    step of the module docstring, which a row that has not stopped tries with
-    r = sqrt(drift2_k / drift2_{k-1}); the moved overlap is one last-party
-    contraction, the matmul shape of a party step.  Every row sweeps until the
-    last one stops; a row's vectors and record are taken in the sweep where it
-    stops.
-    Returns ``(final, trace, records)``: the ``(R, sum(d))`` block of final
-    vectors and the ``(sweeps, R)`` per-sweep overlaps.
+    taken at the start of the sweep gives the parties after p and the drift.
+    Every row sweeps until the last one stops; a row's vectors and record are
+    taken in the sweep where it stops.  Returns ``(final, trace, records)``: the
+    ``(R, sum(d))`` block of final vectors and the ``(sweeps, R)`` per-sweep overlaps.
     """
     n = t.ndim
     rows = len(vectors)
-    offsets = np.cumsum((0,) + t.shape[:-1])
-    parts = [slice(a, a + d) for a, d in zip(offsets.tolist(), t.shape)]
-    fronts = [np.moveaxis(t, p, -1).reshape(-1, d) for p, d in enumerate(t.shape)]
+    offsets, parts, fronts = _layout(t)
     contracted = np.empty_like(vectors)
     final = np.empty_like(vectors)
     records = [None] * rows
     active = np.ones(rows, dtype=bool)
     trace = []
-    low, high = EXTRAPOLATE_RATIOS
-    last_drift2 = last_ratio = np.zeros(rows)
-    extrapolations = np.zeros(rows, dtype=int)
     sweep = 0
     while active.any():
         replaced = vectors.copy()
         replaced_conj = replaced.conj()
-        # after[p] multiplies out the last sweep's conjugated vectors of the
-        # parties after p; a one-party state contracts against a column of ones.
-        after = [None] * (n - 1) + [None if n > 1 else np.ones((rows, 1))]
-        for p in range(n - 1, 0, -1):
-            after[p - 1] = _outer(replaced_conj[:, parts[p]], after[p])
+        after = _afters(replaced_conj, parts)  # the last sweep's vectors
         before = None  # the same for this sweep's vectors of the parties before p
         for p, part in enumerate(parts):
             v = _outer(before, after[p]) @ fronts[p]
@@ -167,37 +149,36 @@ def _alternate(t: np.ndarray, vectors: np.ndarray):
         settled = (sweep > 1) & (np.sqrt(drift2) < SWEEP_RESIDUAL_TOL)
         for r in np.flatnonzero(active & (settled | (sweep >= MAX_SWEEPS))).tolist():
             reason = "settled" if settled[r] else "max_sweeps"
-            records[r] = RestartRecord(r, sweep, int(extrapolations[r]), float(overlap[r]), reason)
+            records[r] = RestartRecord(r, sweep, float(overlap[r]), reason)
             final[r] = vectors[r]
             active[r] = False
-        # The ratio of the first sweep that may extrapolate needs its own
-        # predecessor, so ratios start one sweep earlier; last_ratio is 0 until
-        # then, which no ratio is stable against.  The floor only touches rows
-        # that have stopped, whose drift may reach 0.
-        if sweep < EXTRAPOLATE_FROM - 1:
-            last_drift2 = drift2
-            continue
-        ratio = np.sqrt(drift2 / np.maximum(last_drift2, SWEEP_RESIDUAL_TOL**2))
-        stable = (active & (low < ratio) & (ratio < high)
-                  & (np.abs(ratio - last_ratio) < EXTRAPOLATE_STABILITY * last_ratio))
-        last_drift2, last_ratio = drift2, ratio
-        if not stable.any():
-            continue
-        trusted = np.where(stable, ratio, 0.0)  # rows that do not try the step stay put
-        moved = vectors + (trusted / (1.0 - trusted))[:, None] * (vectors - replaced)
-        x = moved.view(float)
-        norms = np.sqrt(np.add.reduceat(x * x, 2 * offsets, axis=1))
-        moved /= np.repeat(np.maximum(norms, DEGENERACY_TOL), t.shape, axis=1)
-        moved_conj = moved.conj()
-        before = None
-        for part in parts[:-1]:
-            before = _outer(before, moved_conj[:, part])
-        c = ((before @ fronts[-1]) * moved_conj[:, parts[-1]]).sum(axis=1)
-        x = c.view(float).reshape(rows, 2)
-        better = stable & ((x * x).sum(axis=1) > overlap * (1.0 - EXTRAPOLATE_TIE))
-        extrapolations += better
-        np.copyto(vectors, moved, where=better[:, None])
     return final, np.array(trace), records
+
+
+def _overlap_objective(t: np.ndarray):
+    """N(x) = |<a|s>|^2 / prod_p |a_p|^2 over the party vectors a_p of ``x``, side by
+    side, and its gradient for ``ascend``.  With c = <a|s> and v_p the contraction of
+    s with every other party's conjugated vector, party p's block of the gradient is
+    (2 conj(c) v_p - 2 |c|^2 a_p / |a_p|^2) / prod_q |a_q|^2.  N does not change when
+    one block is scaled, so ``ascend``'s single unit sphere serves.
+    """
+    offsets, parts, fronts = _layout(t)
+
+    def value_grad(x):
+        conj = x.conj()[None]
+        after = _afters(conj, parts)
+        v = np.empty_like(x)
+        before = None
+        for p, part in enumerate(parts):
+            v[part] = (_outer(before, after[p]) @ fronts[p])[0]
+            before = _outer(before, conj[:, part])
+        c = np.vdot(x[parts[-1]], v[parts[-1]])
+        norms2 = np.add.reduceat(abs(x) ** 2, offsets)
+        scale = 1.0 / norms2.prod()
+        c2 = abs(c) ** 2
+        return c2 * scale, 2.0 * scale * (c.conjugate() * v - c2 * x / np.repeat(norms2, t.shape))
+
+    return value_grad
 
 
 @dataclass(frozen=True)
@@ -207,8 +188,10 @@ class CanonicalForm:
     ``state`` equals the input with ``local_unitaries`` applied party by party;
     its |0...0> coefficient is real nonnegative and equals sqrt(overlap).
     ``zero_residual`` is the largest modulus over the n single-excitation
-    coefficients; values >= 1e-8 mean the alternating search did not converge.
-    ``restarts`` holds one ``RestartRecord`` per start, the computational one first.
+    coefficients; values >= 1e-8 mean the search did not converge.  ``history``
+    holds the chosen start's per-sweep overlaps.  ``restarts`` holds one
+    ``RestartRecord`` per start, the computational one first, and ``polish`` the
+    ``ascent.RestartRecord`` of the ``ascend`` run that converged the chosen start.
     """
 
     state: PureState
@@ -219,20 +202,20 @@ class CanonicalForm:
     sweeps: int
     history: list = field(repr=False)
     restarts: list = field(repr=False)
+    polish: object = field(repr=False)
 
 
 def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CanonicalForm:
     """Find the closest product state and rotate it onto |0...0>.
 
-    Runs |0...0> plus ``restarts`` random product starts in lockstep, the same
-    for every state, and keeps the largest overlap.  Start r >= 1 is row r - 1 of
-    one draw keyed ``[seed, *STARTS_KEY]``, so it depends on (seed, r) alone, and is
-    not drawn from ``default_rng(seed)``, whose stream may have drawn the state.
-    The earliest start wins ties up to float noise, so a state already in canonical
-    form comes back with identity rotations instead of whatever a random restart
-    landed on; a start whose first contraction vanishes settles at overlap 0 and
-    loses.  ``restarts`` must be an integer in 1..``MAX_RESTARTS``, since every
-    start's vectors are held at once, and ``seed`` a non-negative integer.
+    Sweeps |0...0> plus ``restarts`` random product starts (the same for every
+    state; start r >= 1 depends on (seed, r) alone) in lockstep until each has found
+    its basin, and converges the start with the largest overlap with ``ascend`` to a
+    gradient norm of ``RESIDUAL_TOL / 10``.  The earliest start wins ties up to
+    float noise, so a state already in canonical form comes back with identity
+    rotations instead of whatever a random restart landed on.  ``restarts`` must be
+    an integer in 1..``MAX_RESTARTS``, since every start's vectors are held at
+    once, and ``seed`` a non-negative integer.
     """
     check_count("restarts", restarts, 1)
     if restarts > MAX_RESTARTS:
@@ -248,8 +231,12 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
     for r in range(1, restarts + 1):
         if records[r].overlap > records[best].overlap + TIE_TOL:
             best = r
-    overlap, history = records[best].overlap, trace[:records[best].sweeps, best].tolist()
-    vectors = np.split(final[best], np.cumsum(dims[:-1]))
+    x, polish = ascend(_overlap_objective(t), final[best], grad_tol=RESIDUAL_TOL / 10)
+    vectors = [v / np.linalg.norm(v) for v in np.split(x, np.cumsum(dims[:-1]))]
+    c = t  # contracted party by party down to <a|s>
+    for v in vectors:
+        c = v.conj() @ c.reshape(len(v), -1)
+    vectors[-1] *= c[0] / abs(c[0])  # makes <a|s> real nonnegative
     unitaries = [unitary_from_first_column(v).conj().T for v in vectors]
     out = t
     for p, u in enumerate(unitaries):
@@ -258,14 +245,7 @@ def canonicalize(s: PureState, restarts: int = DEFAULT_RESTARTS, seed: int = 0) 
     # Party p's single excitation is at flat index prod(dims[p + 1:]); abs per
     # value, since np.abs over the array may differ in the last bit.
     residual = max(map(abs, canon.amps[[math.prod(dims[p + 1:]) for p in range(len(dims))]]))
-
-    return CanonicalForm(
-        state=canon,
-        local_unitaries=unitaries,
-        overlap=overlap,
-        zero_residual=float(residual),
-        converged=bool(residual < RESIDUAL_TOL),
-        sweeps=len(history),
-        history=history,
-        restarts=records,
-    )
+    sweeps = records[best].sweeps
+    return CanonicalForm(canon, unitaries, float(abs(c[0]) ** 2), float(residual),
+                         bool(residual < RESIDUAL_TOL), sweeps, trace[:sweeps, best].tolist(),
+                         records, polish)

@@ -90,7 +90,8 @@ def _cmd_canonicalize(args, s):
         "zero_residual": form.zero_residual,
         "converged": form.converged,
         "sweeps": form.sweeps,
-        "manifest": {"stats": {"restarts": [asdict(r) for r in form.restarts]}},
+        "manifest": {"stats": {"restarts": [asdict(r) for r in form.restarts],
+                               "polish": asdict(form.polish)}},
     }
     failure = None
     if not form.converged:

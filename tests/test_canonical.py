@@ -1,5 +1,6 @@
 """Closest-product search and the zero-pattern canonical form."""
 
+import dataclasses
 import functools
 import math
 
@@ -7,14 +8,13 @@ import numpy as np
 import pytest
 
 from quartet import canonical
+from quartet.acceptance import _near
+from quartet.ascent import maximize
 from quartet.canonical import (
     DEGENERACY_TOL,
-    EXTRAPOLATE_FROM,
-    EXTRAPOLATE_RATIOS,
-    EXTRAPOLATE_STABILITY,
-    EXTRAPOLATE_TIE,
     MAX_RESTARTS,
     MAX_SWEEPS,
+    RESIDUAL_TOL,
     SWEEP_RESIDUAL_TOL,
     CanonicalForm,
     canonicalize,
@@ -228,24 +228,45 @@ def test_one_party_state_rotates_onto_zero():
         assert abs(form.state.amps[0] - 1.0) <= 1e-12
 
 
-def test_restart_records_count_accepted_extrapolations():
-    s = random_state((4, 4, 4, 4), np.random.default_rng(66))
-    assert max(r.extrapolations for r in canonicalize(s, seed=0).restarts) > 0
-    # Both settle before EXTRAPOLATE_FROM, so no start tries the step.
+def test_restart_records_hold_sweeps_overlap_and_stop_reason():
+    # Every start of both settles within 20 sweeps.
     for name in ("M4", "C4"):
         form = canonicalize(make(name), seed=0)
-        assert all(r.extrapolations == 0 for r in form.restarts)
-        assert max(r.sweeps for r in form.restarts) < EXTRAPOLATE_FROM
+        for r in form.restarts:
+            assert [f.name for f in dataclasses.fields(r)] == [
+                "restart", "sweeps", "overlap", "stop_reason"]
+        assert max(r.sweeps for r in form.restarts) < 20
 
 
-def test_extrapolation_shortens_the_slowest_start(monkeypatch):
-    states = [random_state(dims, np.random.default_rng([67, k]))
-              for dims in ((2, 2, 2, 2), (4, 4, 4, 4)) for k in range(3)]
-    fast = [max(r.sweeps for r in canonicalize(s, seed=0).restarts) for s in states]
-    monkeypatch.setattr(canonical, "EXTRAPOLATE_FROM", MAX_SWEEPS + 1)
-    plain = [max(r.sweeps for r in canonicalize(s, seed=0).restarts) for s in states]
-    assert all(f <= p for f, p in zip(fast, plain))
-    assert sum(plain) >= 1.5 * sum(fast)
+# Each has a continuum of best product states (|M4> is invariant under every U^(x4), a Bell
+# pair under U (x) conj(U)), so near them the sweep converges only linearly, at a ratio near 1.
+_FLAT_TAGS = ("C2", "PHI_PLUS", "PHI_MINUS", "PSI_EXAMPLE", "M4", "M4_BAR", "RESIDUAL_0",
+              "RESIDUAL_1")
+
+
+@pytest.mark.parametrize("tag", _FLAT_TAGS)
+def test_states_near_a_continuum_of_best_product_states_converge(tag):
+    for k, eps in enumerate((1e-6, 1e-4, 1e-2)):
+        form = canonicalize(_near(make(tag), eps, np.random.default_rng([72, k])), seed=k)
+        assert form.zero_residual < RESIDUAL_TOL
+        assert form.converged and form.polish.converged
+
+
+def test_two_party_overlap_near_phi_plus_is_the_largest_squared_singular_value():
+    # The two singular values nearly tie, so the sweep is a power iteration at a ratio
+    # near 1; the polished overlap still meets sigma_max^2.
+    for k, eps in enumerate((1e-6, 1e-4, 1e-2)):
+        s = _near(make("PHI_PLUS"), eps, np.random.default_rng([73, k]))
+        sigma = np.linalg.svd(s.tensor(), compute_uv=False)[0]
+        assert abs(canonicalize(s, seed=k).overlap - sigma**2) <= 1e-12
+
+
+def test_a_maximize_result_canonicalizes():
+    # Every maximize restart lands in the local-unitary orbit of |M4> or M4_BAR, near
+    # which a sweep that had to converge on its own ran starts to MAX_SWEEPS.
+    form = canonicalize(maximize(restarts=20, seed=0).best_state)
+    assert form.converged and form.polish.converged
+    assert {r.stop_reason for r in form.restarts} == {"settled"}
 
 
 def test_canonicalize_validates_input():
@@ -292,21 +313,15 @@ def _sequential_contract(t, vectors, skip):
 def _sequential_alternate(t, dims, vectors):
     """Reference: one start at a time, the loop the lockstep alternation replaced.
 
-    From sweep ``EXTRAPOLATE_FROM`` on, a start whose drift ratio is stable
-    tries the geometric step on every party and keeps it unless it lowers the
-    overlap by more than the tie.  Every normalization floors the norm at
-    ``DEGENERACY_TOL``, so a start whose first contraction vanishes becomes the
-    zero vector.  Returns ``(overlap, history, norms, extrapolations,
-    stop_reason)``, ``norms`` holding every party step's contraction norm in order.
+    Every normalization floors the norm at ``DEGENERACY_TOL``, so a start whose
+    first contraction vanishes becomes the zero vector.  Returns ``(overlap,
+    history, norms, stop_reason)``, ``norms`` holding every party step's
+    contraction norm in order.
     """
     vectors = [np.asarray(v, dtype=complex).copy() for v in vectors]
     history = []
     norms = []
-    extrapolations = 0
-    last_drift = None
-    low, high = EXTRAPOLATE_RATIOS
     for sweep in range(1, MAX_SWEEPS + 1):
-        prior = [v.copy() for v in vectors]
         drift = 0.0
         for p in range(len(dims)):
             v = _sequential_contract(t, vectors, p)
@@ -317,21 +332,8 @@ def _sequential_alternate(t, dims, vectors):
             vectors[p] = v / max(nv, DEGENERACY_TOL)
         history.append(float(nv * nv))
         if sweep > 1 and drift < SWEEP_RESIDUAL_TOL:
-            return history[-1], history, norms, extrapolations, "settled"
-        if sweep >= EXTRAPOLATE_FROM - 1:
-            ratio = drift / last_drift
-            if (sweep >= EXTRAPOLATE_FROM and low < ratio < high
-                    and abs(ratio - last_ratio) < EXTRAPOLATE_STABILITY * last_ratio):
-                step = ratio / (1.0 - ratio)
-                moved = [v + step * (v - u) for v, u in zip(vectors, prior)]
-                moved = [v / max(np.linalg.norm(v), DEGENERACY_TOL) for v in moved]
-                c = moved[-1].conj() @ _sequential_contract(t, moved, len(dims) - 1)
-                if abs(c) ** 2 > history[-1] * (1.0 - EXTRAPOLATE_TIE):
-                    vectors = moved
-                    extrapolations += 1
-            last_ratio = ratio
-        last_drift = drift
-    return history[-1], history, norms, extrapolations, "max_sweeps"
+            return history[-1], history, norms, "settled"
+    return history[-1], history, norms, "max_sweeps"
 
 
 def _party_slices(dims, row):
@@ -354,9 +356,8 @@ def _chosen_start(records):
 
 def _assert_matches_sequential(form, reference):
     assert [r.restart for r in form.restarts] == list(range(len(reference)))
-    for record, (overlap, history, _, extrapolations, reason) in zip(form.restarts, reference):
+    for record, (overlap, history, _, reason) in zip(form.restarts, reference):
         assert record.sweeps == len(history)
-        assert record.extrapolations == extrapolations
         assert abs(record.overlap - overlap) <= 1e-12
         assert record.stop_reason == reason
     history = reference[_chosen_start(form.restarts)][1]
@@ -396,18 +397,18 @@ def test_lockstep_matches_sequential_restarts(label, s, seed):
     # Exactly a computational start whose first contraction vanishes settles
     # at once on the zero vector, and loses the tie.
     zero_rows = [r.restart for r in form.restarts
-                 if (r.overlap, r.stop_reason, r.sweeps, r.extrapolations) == (0.0, "settled", 2, 0)]
+                 if (r.overlap, r.stop_reason, r.sweeps) == (0.0, "settled", 2)]
     assert zero_rows == ([0] if vanishes else [])
     assert _chosen_start(form.restarts) not in zero_rows
     assert form.sweeps in {r.sweeps for r in form.restarts}
-    # The sweep ends on the last party's normalized contraction, so the |0...0>
-    # coefficient comes out real and equal to sqrt(overlap) with no phase fix.
+    # The last party's phase is turned so that the |0...0> coefficient is real
+    # and equal to sqrt(overlap).
     lead = form.state.amps[0]
     assert abs(lead.imag) <= 1e-13
     assert abs(lead - math.sqrt(form.overlap)) <= 1e-13
     # Each party step takes the exact maximizer with the others fixed, so the
     # overlap, and with it every later contraction norm, can only rise.
-    for r, (_, _, norms, _, _) in enumerate(reference):
+    for r, (_, _, norms, _) in enumerate(reference):
         assert (norms[0] >= DEGENERACY_TOL) == (r not in zero_rows)
         assert all(b >= a * (1.0 - 1e-14) for a, b in zip(norms, norms[1:]))
 
@@ -435,13 +436,13 @@ def test_every_state_gets_the_same_starts(monkeypatch, label, s):
 
 
 @pytest.mark.filterwarnings("error")
-def test_a_vanishing_start_runs_clean_through_the_extrapolation_phase():
-    # The zero row keeps sweeping with the rest; the extrapolation step must
-    # normalize it with the same floor as a party step, not divide 0 by 0.
+def test_a_vanishing_start_settles_at_zero_and_loses():
+    # The zero row keeps sweeping with the rest, normalized with the floor, not 0 / 0.
     s = _with_vanishing_first_slice((4, 4, 4, 4), 71)
     form = canonicalize(s, seed=0)
-    assert max(r.extrapolations for r in form.restarts) > 0
     assert (form.restarts[0].overlap, form.restarts[0].sweeps) == (0.0, 2)
+    assert form.restarts[0].stop_reason == "settled"
+    assert _chosen_start(form.restarts) != 0
     assert form.converged
 
 
@@ -459,7 +460,7 @@ def test_chosen_form_does_not_depend_on_batch_size():
     # Stopped starts keep sweeping with the rest, so a start's vectors must be
     # taken in the sweep where it stops for the form to match across batch sizes.
     states = [(random_state(dims, np.random.default_rng([64, k])), k)
-              for dims in ((2, 2, 2, 2), (3, 3, 3), (2, 3, 2, 2)) for k in range(4)]
+              for dims in ((2, 2, 2, 2), (3, 3, 3), (2, 3, 2, 2)) for k in range(8)]
     compared = 0
     for s, seed in states + [(make("M4"), 0), (make("C4"), 0)]:
         small = canonicalize(s, restarts=4, seed=seed)
@@ -472,6 +473,7 @@ def test_chosen_form_does_not_depend_on_batch_size():
         for a, b in zip(small.local_unitaries, large.local_unitaries):
             assert np.array_equal(a, b)
         assert small.history == large.history
+        assert small.polish == large.polish
     assert compared >= 4
 
 

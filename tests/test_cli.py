@@ -1,6 +1,7 @@
 """Command-line interface tests, run in process through ``dispatch``."""
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import quartet
-from quartet import acceptance, canonical, catalog, cli
+from quartet import acceptance, ascent, canonical, catalog, cli
 from quartet.acceptance import CriterionResult
 from quartet.core import random_state, state_to_json
 
@@ -212,12 +213,18 @@ def test_canonicalize_reports_restarts_under_manifest_stats(tmp_path, capsys):
                             "sweeps", "manifest"}
     records = payload["manifest"]["stats"]["restarts"]
     assert [r["restart"] for r in records] == [0, 1, 2, 3, 4]
-    assert set(records[0]) == {"restart", "sweeps", "extrapolations", "overlap", "stop_reason"}
+    assert set(records[0]) == {"restart", "sweeps", "overlap", "stop_reason"}
     # the computational start of |M4> vanishes, settles at overlap 0 and loses
     assert (records[0]["overlap"], records[0]["sweeps"]) == (0.0, 2)
-    # the earliest start within the tie of the largest overlap is chosen
+    # the printed overlap is |<a|s>|^2 of the printed form, the |0...0> coefficient
+    # squared, and the polish keeps the chosen start's overlap, which is within the
+    # tie of the largest
+    re, im = payload["state"]["amps"][0]
+    assert abs(re * re + im * im - payload["overlap"]) <= 1e-12
     overlaps = [r["overlap"] for r in records]
-    assert payload["overlap"] in overlaps and max(overlaps) - payload["overlap"] <= 1e-12
+    assert payload["overlap"] >= max(overlaps) - canonical.TIE_TOL
+    polish = payload["manifest"]["stats"]["polish"]
+    assert set(polish) == RECORD_KEYS and polish["converged"]
     assert {r["stop_reason"] for r in records} == {"settled"}
     assert payload["sweeps"] in {r["sweeps"] for r in records}
     _, again, _ = run_cli(capsys, argv)
@@ -251,6 +258,7 @@ def test_ame_two_qubits_reaches_zero(capsys):
 ], ids=["canonicalize", "ame", "maximize"])
 def test_strict_fails_a_search_that_fell_short(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(canonical, "MAX_SWEEPS", 2)
+    monkeypatch.setattr(canonical, "ascend", functools.partial(ascent.ascend, max_iters=1))
     path = write_state(tmp_path, "M4")
     argv = [path if a == "STATE" else a for a in argv] + ["--seed", "0"]
     code, lenient, err = run_cli(capsys, argv)
